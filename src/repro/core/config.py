@@ -134,13 +134,13 @@ class EstimaConfig:
         How the Section-3.1.2 (prefix, kernel) fit grid is computed:
         ``"vectorized"`` (the batched engine of :mod:`repro.core.fastfit` —
         prefix-shared linear solves, a lean reference-equal LM/TRF driver
-        with batched Jacobians, batched candidate screening) or
-        ``"serial"`` (the scalar reference loop).  ``None`` (the default)
-        defers to ``ESTIMA_FIT_STRATEGY``, falling back to ``"vectorized"``.
-        Both strategies produce bit-identical chosen fits and predicted
-        rows; the strategy therefore never takes part in cache keys.
-        (``ESTIMA_FIT_SCREEN=prune`` opts into multi-start pruning, the one
-        mode that may differ within multi-start selection noise.)
+        that evaluates each residual and its Jacobian in one stacked kernel
+        call, batched candidate screening) or ``"serial"`` (the scalar
+        reference loop).  ``None`` (the default) defers to
+        ``ESTIMA_FIT_STRATEGY``, falling back to ``"vectorized"``.  Both
+        strategies solve every start and produce bit-identical chosen fits
+        and predicted rows; the strategy therefore never takes part in
+        cache keys.
 
     None of the engine knobs (``executor``, ``max_workers``,
     ``use_fit_cache``, ``cache_*``, ``serve_*``, ``route_backends``,

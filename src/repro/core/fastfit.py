@@ -1,47 +1,50 @@
 """Vectorized fit-grid engine for the Section-3.1.2 prefix sweep.
 
 The prefix sweep of :mod:`repro.core.regression` fits every (kernel,
-training-prefix) pair of Table 1 — `O(prefixes x kernels x starts)` separate
-solver calls.  Profiling (see :mod:`repro.engine.profiling`) shows a cold
-campaign spends essentially all of its time inside the iterative LM/TRF
-solves of the non-linear kernels, most of which lose the multi-start
-selection anyway.  This module restructures that work with batched numpy
-linear algebra while keeping the *chosen numbers* bit-identical to the
-scalar reference path in :mod:`repro.core.fitting`:
+training-prefix) pair of Table 1 from every initial guess.  Almost all of a
+cold campaign is spent in those non-linear solves, on arrays of at most a
+dozen points, where per-call Python and numpy overhead costs more than the
+arithmetic.  This module restructures the work while keeping every float
+bit-identical to the scalar reference path in :mod:`repro.core.fitting`:
 
 1. **prefix-shared linear solves** — for the linear-in-parameters kernels
    (``CubicLn``/``Poly25``) the design matrix of prefix ``p`` is the first
    ``p`` rows of the full-series matrix, so the sweep builds one matrix and
-   slices it per prefix (each slice is still solved with the exact
-   ``lstsq`` call of the reference path, so parameters are bit-identical);
-2. **a lean reference-equal non-linear driver** — profiling shows the tiny
-   (3-13 point) per-cell solves spend most of their wall time in
-   ``scipy.optimize.least_squares``'s generic wrapper layers, not in the
-   actual LM/TRF iteration.  The lean driver invokes the same underlying
-   machinery directly (``_minpack._lmder`` for determined cells, the
-   trust-region ``trf`` loop for under-determined ones) with the exact
-   tolerances, scalings and finite-difference steps the wrapper would have
-   produced, and evaluates each finite-difference Jacobian as one stacked
-   ``(params, points)`` kernel broadcast instead of a per-column Python
-   loop.  Every floating-point operation the solver sees is the same, in
-   the same order, so the resulting parameters are bit-identical to the
-   scalar path's (asserted by a seeded cross-check in the test suite).
-   When the private scipy entry points are unavailable the engine falls
-   back to the reference call per cell;
+   slices it per prefix; each slice is still solved with the reference
+   ``lstsq`` call.
+2. **a lean non-linear driver** — it runs the iteration
+   ``scipy.optimize.least_squares`` would run, without the wrapper's
+   validation and ``VectorFunction`` plumbing:
+
+   * *one stacked kernel call per parameter point*: the residual and the
+     ``K`` forward-difference rows of the wrapper's 2-point Jacobian are one
+     ``(K+1, m)`` broadcast of the kernel formula over a power table built
+     once per solve (:meth:`repro.core.kernels.Rational.over`); the solver's
+     Jacobian request then reuses the stack of the point it just evaluated;
+   * *determined cells* go to MINPACK through ``scipy.optimize._minpack._lmder``
+     with the wrapper's tolerances, factor and ``diag`` — the one private
+     scipy entry point left;
+   * *under-determined cells* (prefix shorter than the parameter count) run
+     :func:`_trf`, a copy of scipy's ``trf_no_bounds`` specialised to linear
+     loss, the ``exact`` trust-region solver and unit ``x_scale``.  It makes
+     the same ``scipy.linalg.svd``, dot-product norm and ``np.add.reduce``
+     calls in the same order.
+
+   The contract is bit-identity with :func:`repro.core.fitting._solve_start`:
+   the same floats from the same operations in the same order, the same
+   solves, none skipped.  (On a few diverging starts the installed MINPACK
+   itself answers differently from run to run, depending on the process's
+   memory layout; there the lean answer is one of the reference's answers,
+   which is what the identity tests check.)  A one-time self-check on the
+   first solve (:data:`LEAN_CHECK`) verifies it against ``least_squares``
+   and otherwise routes every solve to the reference call, with one
+   ``RuntimeWarning``.
 3. **batched candidate screening** — the realism predicate and the
    checkpoint-RMSE scoring evaluate all surviving candidates over the
    evaluation range / checkpoints as one stacked ``(candidates, points)``
    kernel broadcast instead of a per-candidate Python loop (kernel
    evaluation is elementwise, so the stacked values are bit-identical to
    the per-candidate ones).
-
-A fourth transformation — batched damped-Gauss-Newton *screening* of all
-(start, prefix) cells at once, handing only the top-ranked starts to the
-real solver — is implemented but **opt-in** (``ESTIMA_FIT_SCREEN=prune``):
-measurement shows the reference solver regularly escapes to better basins
-than the screening iteration reaches from the same start, so screened
-ranks cannot guarantee the multi-start winner and pruning trades
-bit-identity for speed.  The default mode solves every start exactly.
 
 Strategy selection lives here too: ``EstimaConfig(fit_strategy=...)`` or
 ``ESTIMA_FIT_STRATEGY`` chooses ``"vectorized"`` (the default) or
@@ -54,9 +57,13 @@ per-cell keys and hit/miss accounting as the scalar path).
 from __future__ import annotations
 
 import os
-from typing import Sequence
+import threading
+import warnings
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy import optimize
+from scipy.linalg import svd
 
 from repro.engine.cache import FIT_CACHE, fit_key
 from repro.engine.profiling import PROFILER
@@ -68,38 +75,27 @@ from .fitting import (
     _finish_nonlinear,
     _linear_design,
     _linear_fit,
-    _multi_start_fits,
     _norm_scale,
     _residuals,
     _solve_start,
     _validate_series,
 )
-from .kernels import _DENOM_EPS, Kernel
+from .kernels import _DENOM_EPS, Kernel, Rational, get_kernel, power_table
 from .metrics import rmse
 
-try:  # pragma: no cover - exercised indirectly by the solver identity tests
-    from scipy.optimize import _minpack as _sp_minpack
-    from scipy.optimize._lsq.least_squares import check_x_scale as _sp_check_x_scale
-    from scipy.optimize._lsq.trf import trf as _sp_trf
-    from scipy.optimize._numdiff import (
-        _compute_absolute_step as _sp_compute_absolute_step,
-    )
-
-    LEAN_SOLVER_AVAILABLE = True
-except ImportError:  # pragma: no cover - older/newer scipy layouts
-    LEAN_SOLVER_AVAILABLE = False
+try:  # the one private scipy entry point; guarded by LEAN_CHECK
+    from scipy.optimize._minpack import _lmder
+except ImportError:  # pragma: no cover - depends on the installed scipy
+    _lmder = None
 
 __all__ = [
     "FIT_STRATEGIES",
     "DEFAULT_FIT_STRATEGY",
     "ENV_FIT_STRATEGY",
-    "ENV_FIT_SCREEN",
-    "SCREEN_MODES",
-    "LEAN_SOLVER_AVAILABLE",
+    "LEAN_CHECK",
     "parse_fit_strategy",
     "fit_strategy_from_env",
     "resolve_fit_strategy",
-    "screen_mode_from_env",
     "fit_grid",
     "screen_candidates",
 ]
@@ -113,47 +109,11 @@ FIT_STRATEGIES = ("serial", "vectorized")
 #: Used when neither the config field nor the environment picks one.
 DEFAULT_FIT_STRATEGY = "vectorized"
 
-#: Environment variable selecting the multi-start screening mode of the
-#: vectorized engine: ``off`` (default — every start is solved exactly) or
-#: ``prune`` (batched screening ranks the starts and only likely winners are
-#: solved; faster, but the chosen fit may differ from the reference path
-#: within multi-start selection noise).
-ENV_FIT_SCREEN = "ESTIMA_FIT_SCREEN"
+# least_squares' defaults, which the reference solve uses.
+_TOL = 1e-8
 
-#: Recognised screening modes.
-SCREEN_MODES = ("off", "prune")
-
-#: Damped Gauss-Newton iterations of the batched screening pass.  Enough to
-#: land in (or very near) the basin the real solver would reach from the
-#: same start on these tiny (<= 7 parameter, <= ~20 point) problems.
-SCREEN_ITERS = 50
-
-#: A start is handed to the real solver when its screened training RMSE is
-#: within this relative margin of the best screened start of its cell.
-#: Screened losses slightly overestimate fully-converged losses, so the
-#: margin is generous relative to ``SCORE_TIE_REL``.
-SCREEN_KEEP_REL = 0.25
-
-#: Two screened parameter vectors closer than this (relative, per
-#: component) are treated as one basin; only the earlier start is solved —
-#: the scalar path's epsilon tie-break would keep the earlier start anyway.
-SCREEN_BASIN_TOL = 1e-2
-
-#: Cells whose best screened RMSE (normalised) is at or below this floor are
-#: *perfect-fit* cells: the model can drive the training residual to the
-#: solver's stopping tolerance, so the scalar path's multi-start winner is
-#: decided by per-start solver stopping noise — rmse differences far larger
-#: than ``SCORE_TIE_REL`` that deep screening convergence cannot predict.
-#: Such cells run every start through the reference solver; pruning applies
-#: only to data-limited cells, where same-basin solver runs stop within
-#: ``ftol`` of each other (a tie under the epsilon rule).
-SCREEN_NOISE_ABS = 1e-5
-
-#: Screened RMSE at or above this means the screening iteration never found
-#: a finite residual for that start (divergence).  The real solver is more
-#: robust than the screening pass, so such starts are never pruned and
-#: never take part in basin deduplication.
-SCREEN_DIVERGED = 1e5
+# scipy's relative 2-point finite-difference step for float64 data.
+_FD_STEP = np.finfo(np.float64).eps ** 0.5
 
 
 # --------------------------------------------------------------------------- #
@@ -188,62 +148,262 @@ def resolve_fit_strategy(config: object) -> str:
     return env if env is not None else DEFAULT_FIT_STRATEGY
 
 
-def screen_mode_from_env() -> str:
-    """The validated ``ESTIMA_FIT_SCREEN`` mode (``off`` when unset/blank)."""
-    raw = os.environ.get(ENV_FIT_SCREEN)
-    if raw is None or not raw.strip():
-        return "off"
-    token = raw.strip().lower()
-    if token in SCREEN_MODES:
-        return token
-    raise ValueError(
-        f"invalid {ENV_FIT_SCREEN}={raw!r}: expected one of {', '.join(SCREEN_MODES)}"
-    )
-
-
 # --------------------------------------------------------------------------- #
-# Lean reference-equal non-linear driver
+# Fused residual + Jacobian evaluation
 # --------------------------------------------------------------------------- #
 
+Point = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-def _lean_fun_jac(kernel: Kernel, x: np.ndarray, y_norm: np.ndarray):
-    """A ``(fun, jac)`` pair producing the reference solver's exact values.
 
-    ``fun`` wraps the scalar path's residual closure
-    (:func:`repro.core.fitting._residuals`) with the same single-point
-    memoisation ``scipy``'s ``VectorFunction`` applies, so the solver's
-    fun-then-jac call pattern costs one evaluation per point.  ``jac``
-    rebuilds the wrapper's 2-point finite-difference Jacobian — scipy's own
-    ``_compute_absolute_step`` supplies the steps, and the bumped parameter
-    vectors are evaluated as one stacked kernel broadcast whose rows are
-    elementwise-identical to the per-column evaluations of the wrapper's
-    ``approx_derivative`` loop.
+def _stacked_residuals(
+    kernel: Kernel, x: np.ndarray, y_norm: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``stack(params) -> (res, bumped)``: one kernel call per point.
+
+    ``res[0]`` is the residual of :func:`repro.core.fitting._residuals`;
+    ``res[1:]`` are the residuals at the ``K`` points ``least_squares``'
+    default 2-point rule bumps (``h = ±sqrt(eps)·max(1, |p|)``, one
+    parameter per row), and the Jacobian is ``(res[1:] - res[0]) / dx`` with
+    ``dx = bumped - params``.  The base point and the bumped points are one
+    ``(K+1, m)`` broadcast of the kernel formula; kernel evaluation is
+    elementwise, so every row is bit-identical to evaluating its parameter
+    vector alone.
+
+    Residuals are finite by construction (non-finite values become ``1e6``),
+    so ``least_squares``' initial-residual check and ``trf``'s non-finite
+    step branch can never fire on these problems.
     """
-    resid = _residuals(kernel, x, y_norm)
-    memo: dict[bytes, np.ndarray] = {}
+    over = kernel.func.over
+    powers = power_table(x)
+    # Column j of the stack holds params[j] in every row but row j + 1, which
+    # holds the bumped value.
+    bump = np.eye(kernel.n_params, kernel.n_params + 1, 1, dtype=bool)[..., None]
+
+    def stack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bumped = params + np.where(params >= 0, _FD_STEP, -_FD_STEP) * np.maximum(
+            1.0, np.abs(params)
+        )
+        columns = np.where(bump, bumped[:, None, None], params[:, None, None])
+        res = over(powers, *columns) - y_norm
+        return np.where(np.isfinite(res), res, 1e6), bumped
+
+    return stack
+
+
+def _point_evaluator(kernel: Kernel, x: np.ndarray, y_norm: np.ndarray) -> Point:
+    """``point(params) -> (f, J)`` with the reference solver's exact values."""
+    stack = _stacked_residuals(kernel, x, y_norm)
+
+    def point(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        res, bumped = stack(params)
+        f = res[0]
+        return f, ((res[1:] - f) / (bumped - params)[:, None]).T
+
+    return point
+
+
+def _lm_callbacks(
+    kernel: Kernel, x: np.ndarray, y_norm: np.ndarray
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """MINPACK's ``(fun, jac)`` pair over one stacked evaluation per point.
+
+    MINPACK asks for the Jacobian only at the point it evaluated last, so
+    ``fun`` keeps its stacked evaluation and ``jac`` divides it out.  The
+    callbacks allocate like scipy's wrapper does: ``fun`` returns a fresh
+    residual array and ``jac`` builds the Jacobian when asked.  On diverging
+    starts the installed MINPACK can land on different answers for the same
+    inputs depending on the process's memory layout; handing it views of a
+    precomputed stack measurably changed which of those starts flip, so
+    keep this allocation pattern.
+    """
+    stack = _stacked_residuals(kernel, x, y_norm)
+    state: dict[str, object] = {}
+
+    def evaluate(params: np.ndarray) -> dict[str, object]:
+        key = params.tobytes()
+        if state.get("key") != key:
+            res, bumped = stack(params)
+            state.clear()
+            state.update(key=key, res=res, dx=bumped - params)
+        return state
 
     def fun(params: np.ndarray) -> np.ndarray:
-        key = params.tobytes()
-        value = memo.get(key)
-        if value is None:
-            value = np.atleast_1d(resid(params))
-            memo.clear()
-            memo[key] = value
-        return value.copy()
+        return evaluate(params)["res"][0].copy()
 
-    def jac(params: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
-        f_at = fun(params)
-        h = _sp_compute_absolute_step(None, params, f_at, "2-point")
-        n = params.size
-        bumped = np.tile(params, (n, 1))
-        diag = np.arange(n)
-        bumped[diag, diag] = params + h
-        res = _eval_rows(kernel, x, bumped) - y_norm
-        rows = np.where(np.isfinite(res), res, 1e6)
-        dx = (params + h) - params
-        return ((rows - f_at) / dx[:, None]).T
+    def jac(params: np.ndarray) -> np.ndarray:
+        current = evaluate(params)
+        res = current["res"]
+        return ((res[1:] - res[0]) / current["dx"][:, None]).T
 
     return fun, jac
+
+
+# --------------------------------------------------------------------------- #
+# Solvers
+# --------------------------------------------------------------------------- #
+
+
+def _lmder_solve(
+    fun: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    max_nfev: int,
+) -> np.ndarray:
+    """MINPACK ``lmder`` with ``least_squares(method="lm")``'s arguments."""
+    with _LM_LOCK:
+        solved, _info, _status = _lmder(
+            fun,
+            jac,
+            x0.astype(x0.dtype),
+            (),
+            True,
+            False,
+            _TOL,
+            _TOL,
+            _TOL,
+            max_nfev,
+            100.0,
+            None,
+        )
+    return solved
+
+
+def _norm(v: np.ndarray) -> float:
+    """``numpy.linalg.norm`` of a contiguous 1-D float vector, same operations."""
+    return np.sqrt(v.dot(v))
+
+
+def _trust_region_solver(
+    uf: np.ndarray, s: np.ndarray, V: np.ndarray
+) -> Callable[[float, float], tuple[np.ndarray, float]]:
+    """scipy's ``solve_lsq_trust_region`` (rtol 0.01, 10 iterations) for one SVD.
+
+    Only under-determined problems (fewer residuals than parameters) reach
+    it, where scipy never takes the Gauss-Newton shortcut, so that branch is
+    left out.  Returns ``step(Delta, alpha) -> (p, alpha)``.  What does not
+    depend on ``Delta`` or ``alpha`` is computed once per SVD rather than
+    once per call, which leaves every value unchanged.
+    """
+    suf = s * uf
+    s2 = s**2
+    suf2 = suf**2
+    suf_norm = _norm(suf)
+
+    def phi_and_derivative(alpha, Delta):
+        denom = s2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - Delta, -np.add.reduce(suf2 / denom**3) / p_norm
+
+    def step(Delta: float, alpha: float) -> tuple[np.ndarray, float]:
+        alpha_upper = suf_norm / Delta
+        alpha_lower = 0.0
+        if alpha == 0:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+
+        for _ in range(10):
+            if alpha < alpha_lower or alpha > alpha_upper:
+                alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+            phi, phi_prime = phi_and_derivative(alpha, Delta)
+            if phi < 0:
+                alpha_upper = alpha
+            ratio = phi / phi_prime
+            alpha_lower = max(alpha_lower, alpha - ratio)
+            alpha -= (phi + Delta) * ratio / Delta
+            if np.abs(phi) < 0.01 * Delta:
+                break
+
+        p = -V.dot(suf / (s2 + alpha))
+        p *= Delta / _norm(p)
+        return p, alpha
+
+    return step
+
+
+def _trf(point: Point, x0: np.ndarray, max_nfev: int) -> np.ndarray:
+    """scipy's ``trf_no_bounds`` for ``least_squares(method="trf")``'s defaults.
+
+    Specialised to under-determined problems, linear loss,
+    ``tr_solver="exact"`` and unit ``x_scale`` (every multiplication by the
+    unit scale is exact, so it is left out).  Each accepted point's Jacobian
+    comes from the same stacked evaluation as its residual.
+    """
+    x = x0
+    f, J = point(x0)
+    nfev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    Delta = _norm(x0)
+    if Delta == 0:
+        Delta = 1.0
+    alpha = 0.0
+    done = False
+
+    while not done and not np.abs(g).max() < _TOL and nfev != max_nfev:
+        U, s, V = svd(J, full_matrices=False)
+        trust_region_step = _trust_region_solver(U.T.dot(f), s, V.T)
+
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            step, alpha = trust_region_step(Delta, alpha)
+            Js = J.dot(step)
+            predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            f_new, J_new = point(x_new)
+            nfev += 1
+
+            step_norm = _norm(step)
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+
+            # update_tr_radius
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new *= 2.0
+
+            # check_termination (ftol or xtol)
+            if (actual_reduction < _TOL * cost and ratio > 0.25) or (
+                step_norm < _TOL * (_TOL + _norm(x))
+            ):
+                done = True
+                break
+
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+
+        if actual_reduction > 0:
+            x, f, J, cost = x_new, f_new, J_new, cost_new
+            g = J.T.dot(f)
+    return x
+
+
+def _lean_solve(
+    kernel: Kernel,
+    x: np.ndarray,
+    y_norm: np.ndarray,
+    guess: Sequence[float],
+    *,
+    underdetermined: bool,
+    max_nfev: int,
+) -> np.ndarray:
+    """The lean driver's raw answer (raises like the solvers it drives)."""
+    if underdetermined:
+        point = _point_evaluator(kernel, x, y_norm)
+        return _trf(point, np.asarray(guess, dtype=float), max_nfev)
+    fun, jac = _lm_callbacks(kernel, x, y_norm)
+    x0 = np.asarray(guess, dtype=float)
+    # least_squares evaluates the start before it calls MINPACK, and so does
+    # this driver: MINPACK's first call then reuses the stack, and the heap
+    # MINPACK starts from allocates like the reference's (see _lm_callbacks).
+    fun(x0)
+    return _lmder_solve(fun, jac, x0, max_nfev)
 
 
 def _lean_solve_start(
@@ -255,65 +415,86 @@ def _lean_solve_start(
     underdetermined: bool,
     max_nfev: int,
 ) -> np.ndarray | None:
-    """Bit-identical twin of :func:`repro.core.fitting._solve_start`.
-
-    Drives the same MINPACK ``lmder`` / trust-region ``trf`` iteration the
-    reference call reaches through ``scipy.optimize.least_squares``, with
-    the wrapper's exact tolerances (``ftol=xtol=gtol=1e-8``), scaling and
-    Jacobian values, but without its per-call validation and
-    ``VectorFunction`` plumbing — which dominates wall time on these tiny
-    problems.  Returns the same parameters (or ``None``) the reference call
-    would for every input.
-    """
-    fun, jac = _lean_fun_jac(kernel, x, y_norm)
-    x0 = np.asarray(guess, dtype=float)
+    """Bit-identical twin of :func:`repro.core.fitting._solve_start`."""
     try:
         with PROFILER.stage("nonlinear_solve"):
-            f0 = fun(x0)
-            if not np.all(np.isfinite(f0)):
-                # least_squares rejects non-finite initial residuals.
-                return None
-            if underdetermined:
-                result = _sp_trf(
-                    fun,
-                    jac,
-                    x0,
-                    f0,
-                    jac(x0),
-                    np.full(x0.size, -np.inf),
-                    np.full(x0.size, np.inf),
-                    1e-8,
-                    1e-8,
-                    1e-8,
-                    max_nfev,
-                    _sp_check_x_scale(None, x0, "trf"),
-                    None,
-                    "exact",
-                    {},
-                    0,
-                )
-                solved = result.x
-            else:
-                with _LM_LOCK:
-                    solved, _info, _status = _sp_minpack._lmder(
-                        fun,
-                        jac,
-                        x0.astype(x0.dtype),
-                        (),
-                        True,
-                        False,
-                        1e-8,
-                        1e-8,
-                        1e-8,
-                        max_nfev,
-                        100.0,
-                        None,
-                    )
+            solved = _lean_solve(
+                kernel, x, y_norm, guess, underdetermined=underdetermined, max_nfev=max_nfev
+            )
     except (ValueError, FloatingPointError):
         return None
     if not np.all(np.isfinite(solved)):
         return None
     return solved
+
+
+# --------------------------------------------------------------------------- #
+# Self-check of the lean driver
+# --------------------------------------------------------------------------- #
+
+
+def _self_check_failure() -> str | None:
+    """Why the lean driver cannot stand in for ``least_squares``, or None.
+
+    Solves one fixed ``lm`` problem and one fixed under-determined ``trf``
+    problem both ways and compares the parameters bit for bit.  Runs no
+    profiled stage, so it leaves the ``nonlinear_solve`` counts untouched.
+    """
+    if _lmder is None:
+        return "scipy.optimize._minpack._lmder is unavailable"
+    x = np.arange(1.0, 9.0)
+    y = x / (1.0 + 0.05 * x) + 0.02 * np.sin(3.0 * x)
+    problems = (("Rat22", x, "lm"), ("Rat33", x[:4], "trf"))
+    for name, xs, method in problems:
+        kernel = get_kernel(name)
+        y_norm = y[: xs.size] / _norm_scale(y[: xs.size])
+        guess = kernel.initial_guesses[0]
+        try:
+            with np.errstate(all="ignore"):
+                lean = _lean_solve(
+                    kernel, xs, y_norm, guess,
+                    underdetermined=method == "trf", max_nfev=600,
+                )
+                with _LM_LOCK:
+                    ref = optimize.least_squares(
+                        _residuals(kernel, xs, y_norm),
+                        x0=np.asarray(guess, dtype=float),
+                        method=method,
+                        max_nfev=600,
+                    ).x
+        except (TypeError, ValueError, FloatingPointError) as exc:
+            return f"{method} problem raised {type(exc).__name__}: {exc}"
+        if lean.tobytes() != ref.tobytes():
+            return f"{method} problem differs from least_squares"
+    return None
+
+
+class _LeanCheck:
+    """Runs :func:`_self_check_failure` once, on first use (not at import)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._passed: bool | None = None
+
+    def passed(self) -> bool:
+        """Whether the lean driver may serve solves in this process."""
+        if self._passed is None:
+            with self._lock:
+                if self._passed is None:
+                    failure = _self_check_failure()
+                    if failure is not None:
+                        warnings.warn(
+                            f"lean solver self-check failed ({failure}); every "
+                            "solve uses scipy.optimize.least_squares instead",
+                            RuntimeWarning,
+                            stacklevel=2,
+                        )
+                    self._passed = failure is None
+        return self._passed
+
+
+#: The process-wide self-check gate of the lean driver.
+LEAN_CHECK = _LeanCheck()
 
 
 def _nonlinear_solve(
@@ -325,14 +506,14 @@ def _nonlinear_solve(
     underdetermined: bool,
     max_nfev: int,
 ) -> np.ndarray | None:
-    """One start through the lean driver, or the reference call as fallback."""
-    if not LEAN_SOLVER_AVAILABLE:
-        return _solve_start(
-            kernel, x, y_norm, guess, underdetermined=underdetermined, max_nfev=max_nfev
-        )
-    return _lean_solve_start(
-        kernel, x, y_norm, guess, underdetermined=underdetermined, max_nfev=max_nfev
-    )
+    """One start through the lean driver, or the reference call as fallback.
+
+    The lean driver evaluates the Table-1 rational family; any other
+    non-linear kernel takes the reference call.
+    """
+    lean = isinstance(kernel.func, Rational) and LEAN_CHECK.passed()
+    solve = _lean_solve_start if lean else _solve_start
+    return solve(kernel, x, y_norm, guess, underdetermined=underdetermined, max_nfev=max_nfev)
 
 
 # --------------------------------------------------------------------------- #
@@ -353,196 +534,9 @@ def _eval_rows(kernel: Kernel, n: np.ndarray, params: np.ndarray) -> np.ndarray:
     return np.asarray(kernel.func(n, *cols), dtype=float)
 
 
-def _batched_denominator(kernel_name: str, params: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Row-stacked twin of :func:`repro.core.kernels._rational_denominator`."""
-    p = params
-    if kernel_name == "Rat22":
-        return 1.0 + p[..., [3]] * n + p[..., [4]] * n**2
-    if kernel_name == "Rat23":
-        return 1.0 + p[..., [3]] * n + p[..., [4]] * n**2 + p[..., [5]] * n**3
-    if kernel_name == "Rat33":
-        return 1.0 + p[..., [4]] * n + p[..., [5]] * n**2 + p[..., [6]] * n**3
-    if kernel_name == "ExpRat":
-        return p[..., [2]] + p[..., [3]] * n
-    raise ValueError(f"{kernel_name} is not a rational kernel")
-
-
 # --------------------------------------------------------------------------- #
-# Batched multi-start screening
+# The grid
 # --------------------------------------------------------------------------- #
-
-
-def _screen_kernel(
-    kernel: Kernel,
-    x: np.ndarray,
-    y: np.ndarray,
-    prefixes: Sequence[int],
-    scales: dict[int, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Screen all (start, prefix) cells of one non-linear kernel at once.
-
-    Runs :data:`SCREEN_ITERS` damped Gauss-Newton steps on the normalised
-    residuals of every cell simultaneously (finite-difference Jacobians,
-    per-cell adaptive damping, step acceptance by loss decrease — a batched
-    Levenberg-Marquardt in all but pedigree).  Returns ``(screened_rmse,
-    screened_params)`` with shapes ``(starts, len(prefixes))`` and
-    ``(starts, len(prefixes), n_params)``.  The output only *ranks* starts;
-    every fit that leaves this module is produced by the reference solver.
-    """
-    guesses = np.asarray(kernel.initial_guesses, dtype=float)  # (S, K)
-    n_starts, n_params = guesses.shape
-    n_cells = len(prefixes)
-    width = max(prefixes)
-    xs = x[:width]
-
-    # Per-prefix normalised targets and validity masks over a shared width.
-    y_rows = np.empty((n_cells, width))
-    mask = np.zeros((n_cells, width), dtype=bool)
-    counts = np.asarray(prefixes, dtype=float)
-    for i, p in enumerate(prefixes):
-        y_rows[i, :p] = y[:p] / scales[p]
-        y_rows[i, p:] = 0.0
-        mask[i, :p] = True
-
-    params = np.broadcast_to(guesses[:, None, :], (n_starts, n_cells, n_params)).copy()
-
-    def residuals(cells: np.ndarray) -> np.ndarray:
-        values = _eval_rows(kernel, xs, cells)
-        res = values - y_rows
-        res = np.where(np.isfinite(res), res, 1e6)
-        return np.where(mask, res, 0.0)
-
-    eye = np.eye(n_params)
-    lam = np.full((n_starts, n_cells), 1e-3)
-    with np.errstate(all="ignore"):
-        res = residuals(params)
-        sse = np.sum(res**2, axis=-1)
-        stalled = 0
-        for _ in range(SCREEN_ITERS):
-            jac = np.empty((n_starts, n_cells, width, n_params))
-            steps = 1e-6 * np.maximum(np.abs(params), 1.0)
-            for j in range(n_params):
-                bumped = params.copy()
-                bumped[..., j] += steps[..., j]
-                jac[..., j] = (residuals(bumped) - res) / steps[..., j][..., None]
-            jtj = np.einsum("scnk,scnl->sckl", jac, jac)
-            grad = np.einsum("scnk,scn->sck", jac, res)
-            damping = np.einsum("sckk->sck", jtj)[..., None] * eye
-            system = jtj + lam[..., None, None] * damping + 1e-12 * eye
-            delta = _solve_steps(system, grad)
-            trial = params + delta
-            trial_res = residuals(trial)
-            trial_sse = np.sum(trial_res**2, axis=-1)
-            improved = (
-                np.all(np.isfinite(trial), axis=-1)
-                & np.isfinite(trial_sse)
-                & (trial_sse < sse)
-            )
-            params = np.where(improved[..., None], trial, params)
-            res = np.where(improved[..., None], trial_res, res)
-            sse = np.where(improved, trial_sse, sse)
-            lam = np.clip(np.where(improved, lam * 0.3, lam * 5.0), 1e-10, 1e10)
-            stalled = 0 if bool(np.any(improved)) else stalled + 1
-            if stalled >= 3:
-                break
-    screened_rmse = np.sqrt(sse / counts)
-    return screened_rmse, params
-
-
-def _solve_steps(system: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Batched solve of the damped normal equations, robust to singular cells."""
-    try:
-        return np.linalg.solve(system, -grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return -(np.linalg.pinv(system) @ grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.zeros_like(grad)
-
-
-def _same_basin(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two screened parameter vectors describe the same optimum."""
-    tol = SCREEN_BASIN_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return bool(np.all(np.abs(a - b) <= tol))
-
-
-def _fit_cell(
-    kernel: Kernel,
-    xp: np.ndarray,
-    yp: np.ndarray,
-    scale: float,
-    screened_rmse: np.ndarray,
-    screened_params: np.ndarray,
-    max_nfev: int,
-) -> FittedFunction | None:
-    """Solve one (kernel, prefix) cell using the screening verdicts.
-
-    In *data-limited* cells (best screened loss above
-    :data:`SCREEN_NOISE_ABS`) only the starts whose screened loss is within
-    :data:`SCREEN_KEEP_REL` of the cell's best — deduplicated by basin,
-    keeping the earliest start — are run through the reference solver.  In
-    *perfect-fit* cells the winner is solver stopping noise, which screening
-    cannot rank, so every start runs.  The multi-start selection then
-    replays the scalar path's epsilon loop over the solved fits in start
-    order.  If every surviving start fails to solve, the cell falls back to
-    the full scalar multi-start, so a pruned cell can never lose a fit the
-    reference path would have found.
-    """
-    y_norm = yp / scale
-    underdetermined = xp.size < kernel.n_params
-    n_starts = len(kernel.initial_guesses)
-
-    best_screen = float(np.min(screened_rmse))
-    if best_screen <= SCREEN_NOISE_ABS:
-        # Perfect-fit cell: solve everything, exactly like the scalar path.
-        survivors = list(range(n_starts))
-    else:
-        survivors = []
-        for s in range(n_starts):
-            if screened_rmse[s] >= SCREEN_DIVERGED:
-                # Screening diverged; its params are meaningless, so the
-                # start can neither be ranked nor basin-compared.  Solve it.
-                survivors.append(s)
-                continue
-            if screened_rmse[s] > best_screen * (1.0 + SCREEN_KEEP_REL):
-                continue
-            if any(
-                screened_rmse[r] < SCREEN_DIVERGED
-                and _same_basin(screened_params[s], screened_params[r])
-                for r in survivors
-            ):
-                continue
-            survivors.append(s)
-    PROFILER.count("nonlinear_starts_pruned", n_starts - len(survivors))
-
-    fits: list[FittedFunction] = []
-    for s in survivors:
-        solved = _nonlinear_solve(
-            kernel,
-            xp,
-            y_norm,
-            kernel.initial_guesses[s],
-            underdetermined=underdetermined,
-            max_nfev=max_nfev,
-        )
-        if solved is None:
-            continue
-        fit = _finish_nonlinear(kernel, xp, y_norm, scale, solved)
-        if fit is not None:
-            fits.append(fit)
-
-    if not fits:
-        # Every screened survivor failed; replay the reference multi-start in
-        # full so the cell's outcome matches the scalar path exactly.
-        PROFILER.count("screen_fallbacks", 1)
-        fits = _multi_start_fits(kernel, xp, yp, max_nfev=max_nfev)
-
-    best: FittedFunction | None = None
-    for fit in fits:
-        if best is None or fit.train_rmse < best.train_rmse * (1.0 - SCORE_TIE_REL):
-            best = fit
-    return best
 
 
 def _exact_cell(
@@ -574,11 +568,6 @@ def _exact_cell(
         if best is None or fit.train_rmse < best.train_rmse * (1.0 - SCORE_TIE_REL):
             best = fit
     return best
-
-
-# --------------------------------------------------------------------------- #
-# The grid
-# --------------------------------------------------------------------------- #
 
 
 def fit_grid(
@@ -615,7 +604,6 @@ def fit_grid(
                     fits[(p, kernel.name)] = value
                     cached.add((p, kernel.name))
 
-    prune = screen_mode_from_env() == "prune"
     for kernel in kernels:
         todo = [p for p in prefixes if (p, kernel.name) not in fits]
         if not todo:
@@ -627,24 +615,8 @@ def fit_grid(
                     kernel, design_full[:p], x[:p], y[:p] / scales[p], scales[p]
                 )
             continue
-        if not prune:
-            for p in todo:
-                fits[(p, kernel.name)] = _exact_cell(
-                    kernel, x[:p], y[:p], scales[p], max_nfev
-                )
-            continue
-        with PROFILER.stage("start_screen"):
-            screened_rmse, screened_params = _screen_kernel(kernel, x, y, todo, scales)
-        for i, p in enumerate(todo):
-            fits[(p, kernel.name)] = _fit_cell(
-                kernel,
-                x[:p],
-                y[:p],
-                scales[p],
-                screened_rmse[:, i],
-                screened_params[:, i],
-                max_nfev,
-            )
+        for p in todo:
+            fits[(p, kernel.name)] = _exact_cell(kernel, x[:p], y[:p], scales[p], max_nfev)
 
     if FIT_CACHE.enabled:
         for (p, name), fit in fits.items():
@@ -690,7 +662,8 @@ def screen_candidates(
 
         with PROFILER.stage("realism_screen"), np.errstate(all="ignore"):
             if kernel.rational:
-                den = _batched_denominator(name, params, eval_range)
+                cols = params.T[:, :, None]
+                den = kernel.func.denominator(power_table(eval_range), *cols)
                 pole = np.any(np.abs(den) < _DENOM_EPS, axis=-1) | np.any(
                     den[..., :-1] * den[..., 1:] < 0.0, axis=-1
                 )

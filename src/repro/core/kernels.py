@@ -32,6 +32,8 @@ import numpy as np
 __all__ = [
     "Kernel",
     "KERNELS",
+    "Rational",
+    "power_table",
     "DEFAULT_KERNEL_NAMES",
     "get_kernel",
     "kernel_names",
@@ -46,36 +48,68 @@ _DENOM_EPS = 1e-9
 _HUGE = 1e30
 
 
-def _rat22(n: np.ndarray, a0: float, a1: float, a2: float, b1: float, b2: float) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    num = a0 + a1 * n + a2 * n**2
-    den = 1.0 + b1 * n + b2 * n**2
-    return num / den
+def power_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The powers ``(n, n^2, n^3)`` the rational kernels are written over.
+
+    A solver evaluates one kernel on the same core counts hundreds of times,
+    so it builds this table once per solve and passes it to
+    :meth:`Rational.over`; every other caller goes through
+    :meth:`Rational.__call__`, which builds it per call.  Either way the
+    kernel expression sees the same arrays, so the values are identical.
+    """
+    return n, n**2, n**3
 
 
-def _rat23(
-    n: np.ndarray, a0: float, a1: float, a2: float, b1: float, b2: float, b3: float
-) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    num = a0 + a1 * n + a2 * n**2
-    den = 1.0 + b1 * n + b2 * n**2 + b3 * n**3
-    return num / den
+def _rat22_terms(pw, a0, a1, a2, b1, b2):
+    n, n2, _ = pw
+    return a0 + a1 * n + a2 * n2, 1.0 + b1 * n + b2 * n2
 
 
-def _rat33(
-    n: np.ndarray,
-    a0: float,
-    a1: float,
-    a2: float,
-    a3: float,
-    b1: float,
-    b2: float,
-    b3: float,
-) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    num = a0 + a1 * n + a2 * n**2 + a3 * n**3
-    den = 1.0 + b1 * n + b2 * n**2 + b3 * n**3
-    return num / den
+def _rat23_terms(pw, a0, a1, a2, b1, b2, b3):
+    n, n2, n3 = pw
+    return a0 + a1 * n + a2 * n2, 1.0 + b1 * n + b2 * n2 + b3 * n3
+
+
+def _rat33_terms(pw, a0, a1, a2, a3, b1, b2, b3):
+    n, n2, n3 = pw
+    return a0 + a1 * n + a2 * n2 + a3 * n3, 1.0 + b1 * n + b2 * n2 + b3 * n3
+
+
+def _exp_rat_terms(pw, a, b, c, d):
+    n = pw[0]
+    return a + b * n, c + d * n
+
+
+@dataclass(frozen=True)
+class Rational:
+    """A kernel of the form ``num(n) / den(n)`` (or ``exp`` of that ratio).
+
+    ``terms(powers, *params)`` returns ``(numerator, denominator)`` over a
+    :func:`power_table`; it is the one place each rational formula of Table 1
+    is written.  Parameters may be scalars or broadcast columns, so the same
+    expression evaluates one parameter vector or a stack of them with
+    elementwise-identical results.
+    """
+
+    terms: Callable[..., tuple[np.ndarray, np.ndarray]]
+    exponential: bool = False
+
+    def __call__(self, n: np.ndarray, *params: float) -> np.ndarray:
+        return self.over(power_table(np.asarray(n, dtype=float)), *params)
+
+    def over(self, powers: tuple[np.ndarray, ...], *params: float) -> np.ndarray:
+        """Kernel values over a precomputed :func:`power_table`."""
+        num, den = self.terms(powers, *params)
+        if not self.exponential:
+            return num / den
+        # Clip the exponent to keep overflow warnings out of the optimizer;
+        # the realism predicate rejects exploded fits afterwards.
+        safe = np.where(np.abs(den) < _DENOM_EPS, _DENOM_EPS, den)
+        return np.exp(np.clip(num / safe, -60.0, 60.0))
+
+    def denominator(self, powers: tuple[np.ndarray, ...], *params: float) -> np.ndarray:
+        """Denominator values over a :func:`power_table` (for pole checks)."""
+        return self.terms(powers, *params)[1]
 
 
 def _cubic_ln(n: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -84,33 +118,9 @@ def _cubic_ln(n: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarr
     return a + b * ln + c * ln**2 + d * ln**3
 
 
-def _exp_rat(n: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    den = c + d * n
-    # Clip the exponent to keep overflow warnings out of the optimizer; the
-    # realism predicate rejects exploded fits afterwards.
-    expo = np.clip((a + b * n) / np.where(np.abs(den) < _DENOM_EPS, _DENOM_EPS, den), -60.0, 60.0)
-    return np.exp(expo)
-
-
 def _poly25(n: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     return a + b * n + c * n**2 + d * n**2.5
-
-
-def _rational_denominator(kernel_name: str, params: Sequence[float], n: np.ndarray) -> np.ndarray:
-    """Return the denominator values for rational kernels (used for pole checks)."""
-    n = np.asarray(n, dtype=float)
-    p = list(params)
-    if kernel_name == "Rat22":
-        return 1.0 + p[3] * n + p[4] * n**2
-    if kernel_name == "Rat23":
-        return 1.0 + p[3] * n + p[4] * n**2 + p[5] * n**3
-    if kernel_name == "Rat33":
-        return 1.0 + p[4] * n + p[5] * n**2 + p[6] * n**3
-    if kernel_name == "ExpRat":
-        return p[2] + p[3] * n
-    raise ValueError(f"{kernel_name} is not a rational kernel")
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,8 @@ class Kernel:
     name:
         Short identifier used in configuration and reports (e.g. ``"Rat22"``).
     func:
-        Vectorised callable ``func(n, *params) -> values``.
+        Vectorised callable ``func(n, *params) -> values``; a
+        :class:`Rational` for the rational kernels.
     n_params:
         Number of free parameters.
     initial_guesses:
@@ -152,7 +163,7 @@ class Kernel:
         """
         if not self.rational:
             return False
-        den = _rational_denominator(self.name, params, np.asarray(n, dtype=float))
+        den = self.func.denominator(power_table(np.asarray(n, dtype=float)), *params)
         if np.any(np.abs(den) < _DENOM_EPS):
             return True
         return bool(np.any(den[:-1] * den[1:] < 0.0))
@@ -198,7 +209,7 @@ def _guesses(n_params: int) -> tuple[tuple[float, ...], ...]:
 KERNELS: dict[str, Kernel] = {
     "Rat22": Kernel(
         name="Rat22",
-        func=_rat22,
+        func=Rational(_rat22_terms),
         n_params=5,
         initial_guesses=_guesses(5),
         rational=True,
@@ -206,7 +217,7 @@ KERNELS: dict[str, Kernel] = {
     ),
     "Rat23": Kernel(
         name="Rat23",
-        func=_rat23,
+        func=Rational(_rat23_terms),
         n_params=6,
         initial_guesses=_guesses(6),
         rational=True,
@@ -214,7 +225,7 @@ KERNELS: dict[str, Kernel] = {
     ),
     "Rat33": Kernel(
         name="Rat33",
-        func=_rat33,
+        func=Rational(_rat33_terms),
         n_params=7,
         initial_guesses=_guesses(7),
         rational=True,
@@ -230,7 +241,7 @@ KERNELS: dict[str, Kernel] = {
     ),
     "ExpRat": Kernel(
         name="ExpRat",
-        func=_exp_rat,
+        func=Rational(_exp_rat_terms, exponential=True),
         n_params=4,
         initial_guesses=(
             (0.0, 0.1, 1.0, 0.1),

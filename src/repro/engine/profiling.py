@@ -9,15 +9,12 @@ tiny, dependency-free profiler the numerical layers wrap around their stages:
 * ``design_solve`` — direct least-squares solves of the linear-in-parameters
   kernels (``CubicLn``/``Poly25``);
 * ``nonlinear_solve`` — iterative LM/TRF solves of the rational/exponential
-  kernels (the dominant cost of a cold campaign);
-* ``start_screen`` — the vectorized engine's batched multi-start screening
-  (:mod:`repro.core.fastfit`, opt-in via ``ESTIMA_FIT_SCREEN=prune``);
+  kernels, one call per (prefix, kernel, start) under either fit strategy
+  (the dominant cost of a cold campaign);
 * ``realism_screen`` / ``checkpoint_score`` — the Section-3.1.2 candidate
   screening and checkpoint-RMSE scoring.
 
-Counters (``PROFILER.count``) record event totals with no time attached,
-e.g. ``nonlinear_starts_pruned`` — how many iterative solves the vectorized
-grid avoided.
+Counters (``PROFILER.count``) record event totals with no time attached.
 
 The global :data:`PROFILER` accumulates monotonically for the process, like
 the cache counters in :mod:`repro.engine.cache`.  Snapshots are plain nested

@@ -31,10 +31,10 @@ class TestConcurrentStageWriters:
             # the barrier trips only when both threads have entered.
             with profiler.stage("nonlinear_solve"):
                 started.wait(timeout=5)
-                profiler.count("nonlinear_starts_pruned", 3)
+                profiler.count("solver_events", 3)
             for _ in range(ITERATIONS - 1):
                 with profiler.stage("nonlinear_solve"):
-                    profiler.count("nonlinear_starts_pruned", 3)
+                    profiler.count("solver_events", 3)
 
         assert_parallel_execution(
             [writer, writer],
@@ -48,7 +48,7 @@ class TestConcurrentStageWriters:
         assert isinstance(stage["calls"], int)
         assert stage["wall_s"] >= 0.0
         assert stage["cpu_s"] >= 0.0
-        counter = delta["nonlinear_starts_pruned"]
+        counter = delta["solver_events"]
         assert counter["calls"] == 2 * ITERATIONS * 3
         assert counter["wall_s"] == 0.0 and counter["cpu_s"] == 0.0
 

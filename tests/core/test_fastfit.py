@@ -25,24 +25,23 @@ from repro.core import fastfit
 from repro.core.config import EstimaConfig
 from repro.core.fastfit import (
     DEFAULT_FIT_STRATEGY,
-    ENV_FIT_SCREEN,
     ENV_FIT_STRATEGY,
     FIT_STRATEGIES,
-    LEAN_SOLVER_AVAILABLE,
     fit_grid,
     fit_strategy_from_env,
     parse_fit_strategy,
     resolve_fit_strategy,
-    screen_mode_from_env,
 )
 from repro.core.fitting import (
+    _linear_design,
     _norm_scale,
+    _residuals,
     _solve_start,
     _validate_series,
     fit_kernel,
 )
-from repro.core.kernels import KERNELS, get_kernel
-from repro.core.regression import extrapolate_series
+from repro.core.kernels import KERNELS, get_kernel, power_table
+from repro.core.regression import _prepare_sweep, extrapolate_series
 from repro.engine.cache import EXTRAPOLATION_CACHE, FIT_CACHE, caches_enabled, fit_key
 from repro.engine.profiling import PROFILER, profile_delta
 
@@ -54,7 +53,6 @@ LINEAR = ("CubicLn", "Poly25")
 def _no_fit_strategy_env(monkeypatch):
     """Strategy comes from explicit config in these tests, never the host env."""
     monkeypatch.delenv(ENV_FIT_STRATEGY, raising=False)
-    monkeypatch.delenv(ENV_FIT_SCREEN, raising=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -104,18 +102,6 @@ class TestStrategySelection:
         with pytest.raises(ValueError, match=ENV_FIT_STRATEGY):
             EstimaConfig()
 
-    def test_screen_mode_default_off(self, monkeypatch):
-        assert screen_mode_from_env() == "off"
-        monkeypatch.setenv(ENV_FIT_SCREEN, "")
-        assert screen_mode_from_env() == "off"
-
-    def test_screen_mode_parsed_and_validated(self, monkeypatch):
-        monkeypatch.setenv(ENV_FIT_SCREEN, "prune")
-        assert screen_mode_from_env() == "prune"
-        monkeypatch.setenv(ENV_FIT_SCREEN, "aggressive")
-        with pytest.raises(ValueError, match=ENV_FIT_SCREEN):
-            screen_mode_from_env()
-
 
 # --------------------------------------------------------------------------- #
 # Series validation (shared with the scalar path)
@@ -153,7 +139,7 @@ class TestValidateSeriesCores:
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.skipif(not LEAN_SOLVER_AVAILABLE, reason="private scipy entry points absent")
+@pytest.mark.skipif(not fastfit.LEAN_CHECK.passed(), reason="lean solver self-check failed")
 class TestLeanSolverIdentity:
     def _series(self, rng, n):
         x = np.arange(1.0, n + 1)
@@ -194,6 +180,234 @@ class TestLeanSolverIdentity:
                         )
                     checked += 1
         assert checked >= len(NONLINEAR) * 4 * 2
+
+
+def _same(a, b):
+    return (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
+
+
+def _repeated_runs(solve, attempts=8):
+    """Outcomes of repeated solves under varied heap states.
+
+    MINPACK and LAPACK pick alignment-dependent code paths, so the reference
+    can round differently from one call to the next; small allocations
+    between the calls vary the alignment its work arrays get.
+    """
+    outcomes, ballast = [], []
+    for i in range(attempts):
+        ballast.append(np.empty(3 + 5 * i))
+        outcomes.append(solve())
+    return outcomes
+
+
+@pytest.mark.skipif(not fastfit.LEAN_CHECK.passed(), reason="lean solver self-check failed")
+class TestRealTrafficIdentity:
+    """Lean vs reference on every solve of one Table-4 workload's cold grid."""
+
+    def test_every_recorded_solve_matches_the_reference(self, monkeypatch):
+        from repro.core.predictor import EstimaPredictor
+        from repro.machine import get_machine
+        from repro.simulation.simulator import MachineSimulator
+        from repro.workloads import get_workload
+
+        truth = MachineSimulator(get_machine("opteron48")).sweep(
+            get_workload("swaptions"), core_counts=[1, 2, 3, 4, 6, 8, 10, 12]
+        )
+        solves = []
+        real = fastfit._nonlinear_solve
+
+        def record(kernel, x, y_norm, guess, **kwargs):
+            solves.append((kernel, x.copy(), y_norm.copy(), guess, kwargs))
+            return real(kernel, x, y_norm, guess, **kwargs)
+
+        monkeypatch.setattr(fastfit, "_nonlinear_solve", record)
+        with caches_enabled(False):
+            EstimaPredictor(EstimaConfig(fit_strategy="vectorized")).extrapolate_categories(
+                truth.restrict_to(12), target_cores=48
+            )
+        assert any(kwargs["underdetermined"] for *_, kwargs in solves), "no trf cells"
+        assert any(not kwargs["underdetermined"] for *_, kwargs in solves), "no lm cells"
+
+        mismatched, unstable = [], []
+        for i, (kernel, x, y_norm, guess, kwargs) in enumerate(solves):
+            with np.errstate(all="ignore"):
+                lean = fastfit._lean_solve_start(kernel, x, y_norm, guess, **kwargs)
+                ref = _solve_start(kernel, x, y_norm, guess, **kwargs)
+                if _same(lean, ref):
+                    continue
+                runs = _repeated_runs(lambda: _solve_start(kernel, x, y_norm, guess, **kwargs))
+            if any(_same(lean, run) for run in runs):
+                continue  # the reference disagreed with itself and lean is one of its answers
+            if any(not _same(ref, run) for run in runs):
+                unstable.append(i)
+                continue
+            mismatched.append((i, kernel.name, x.size, guess))
+        assert not mismatched, f"lean diverged from a self-consistent reference: {mismatched}"
+        assert len(unstable) <= len(solves) // 20, f"reference unstable on {unstable}"
+
+
+# --------------------------------------------------------------------------- #
+# Stacked kernel evaluation
+# --------------------------------------------------------------------------- #
+
+
+def _closed_form(name, n, p):
+    """Table 1 written out literally: the values the kernels must reproduce."""
+    if name == "Rat22":
+        return (p[0] + p[1] * n + p[2] * n**2) / (1.0 + p[3] * n + p[4] * n**2)
+    if name == "Rat23":
+        return (p[0] + p[1] * n + p[2] * n**2) / (1.0 + p[3] * n + p[4] * n**2 + p[5] * n**3)
+    if name == "Rat33":
+        return (p[0] + p[1] * n + p[2] * n**2 + p[3] * n**3) / (
+            1.0 + p[4] * n + p[5] * n**2 + p[6] * n**3
+        )
+    if name == "ExpRat":
+        den = p[2] + p[3] * n
+        return np.exp(np.clip((p[0] + p[1] * n) / np.where(np.abs(den) < 1e-9, 1e-9, den), -60.0, 60.0))
+    if name == "CubicLn":
+        ln = np.log(np.maximum(n, 1e-9))
+        return p[0] + p[1] * ln + p[2] * ln**2 + p[3] * ln**3
+    return p[0] + p[1] * n + p[2] * n**2 + p[3] * n**2.5
+
+
+def _param_rows(kernel, rng):
+    """Ordinary, pole, overflow and zero-sign parameter rows for one kernel."""
+    k = kernel.n_params
+    rows = [rng.normal(0.0, 1.0, k) * 10.0 ** rng.uniform(-3, 3, k) for _ in range(6)]
+    rows.append(np.full(k, 1e200))  # overflows to inf
+    rows.append(np.full(k, -1e300))
+    rows.append(np.zeros(k))
+    rows.append(-np.zeros(k))
+    if kernel.rational:
+        pole = np.zeros(k)
+        pole[0] = 1.0
+        if kernel.name == "ExpRat":
+            pole[2:] = (-2.0, 1.0)  # denominator -2 + n vanishes at n = 2
+        else:
+            b1 = {"Rat22": 3, "Rat23": 3, "Rat33": 4}[kernel.name]
+            pole[b1] = -0.5  # denominator 1 - 0.5 n vanishes at n = 2
+        rows.append(pole)
+    return np.asarray(rows)
+
+
+class TestStackedEvaluation:
+    N = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 48.0])
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_func_is_the_closed_form_bit_for_bit(self, name):
+        kernel = get_kernel(name)
+        for row in _param_rows(kernel, np.random.default_rng(7)):
+            with np.errstate(all="ignore"):
+                assert kernel.func(self.N, *row).tobytes() == _closed_form(name, self.N, row).tobytes()
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_stacked_rows_equal_per_row_func(self, name):
+        kernel = get_kernel(name)
+        rows = _param_rows(kernel, np.random.default_rng(11))
+        with np.errstate(all="ignore"):
+            stacked = fastfit._eval_rows(kernel, self.N, rows)
+            for row, values in zip(rows, stacked):
+                assert values.tobytes() == kernel.func(self.N, *row).tobytes()
+            if kernel.rational:
+                cols = rows.T[:, :, None]
+                dens = kernel.func.denominator(power_table(self.N), *cols)
+                for row, den in zip(rows, dens):
+                    single = kernel.func.denominator(power_table(self.N), *row)
+                    assert den.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("name", NONLINEAR)
+    def test_fused_point_matches_residual_and_column_loop_jacobian(self, name):
+        """The fused evaluator against the wrapper's per-column 2-point loop."""
+        kernel = get_kernel(name)
+        x = self.N[:6]
+        y_norm = np.linspace(0.5, 1.5, x.size)
+        point = fastfit._point_evaluator(kernel, x, y_norm)
+        lm_fun, lm_jac = fastfit._lm_callbacks(kernel, x, y_norm)
+        resid = _residuals(kernel, x, y_norm)
+        eps = np.finfo(np.float64).eps
+        for p in _param_rows(kernel, np.random.default_rng(3)):
+            with np.errstate(all="ignore"):
+                f, jac = point(p)
+                assert lm_fun(p).tobytes() == f.tobytes()
+                assert np.ascontiguousarray(lm_jac(p)).tobytes() == np.ascontiguousarray(jac).tobytes()
+                f0 = resid(p)
+                sign = (p >= 0).astype(float) * 2 - 1
+                h = eps**0.5 * sign * np.maximum(1.0, np.abs(p))
+                columns = []
+                for i in range(p.size):
+                    x1 = np.copy(p)
+                    x1[i] = p[i] + h[i]
+                    columns.append((resid(x1) - f0) / ((p[i] + h[i]) - p[i]))
+            assert f.tobytes() == f0.tobytes()
+            assert jac.tobytes() == np.asarray(columns).T.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# Self-check and fallback of the lean driver
+# --------------------------------------------------------------------------- #
+
+
+def _raising_lmder(*args):
+    raise TypeError("_lmder() takes 11 positional arguments but 12 were given")
+
+
+def _drifting_lmder(*args):
+    solved, info, status = _REAL_LMDER(*args)
+    return solved * (1.0 + 1e-12), info, status
+
+
+_REAL_LMDER = fastfit._lmder
+
+
+class TestLeanSelfCheck:
+    def test_self_check_passes_here(self):
+        assert fastfit._self_check_failure() is None
+
+    @pytest.mark.parametrize("broken", [_raising_lmder, _drifting_lmder, None])
+    def test_broken_lmder_falls_back_to_reference_with_one_warning(self, monkeypatch, broken):
+        monkeypatch.setattr(fastfit, "_lmder", broken)
+        monkeypatch.setattr(fastfit, "LEAN_CHECK", fastfit._LeanCheck())
+        x = np.arange(1.0, 9.0)
+        y = x / (1.0 + 0.06 * x) + 0.03 * np.cos(x)
+        kernels = [get_kernel(name) for name in NONLINEAR]
+        with pytest.warns(RuntimeWarning, match="self-check failed") as record:
+            with np.errstate(all="ignore"), caches_enabled(False):
+                grid = fit_grid(kernels, x, y, [3, 5, 8])
+                again = fit_grid(kernels, x, y, [3, 5, 8])
+        assert len([w for w in record if "self-check" in str(w.message)]) == 1
+        assert not fastfit.LEAN_CHECK.passed()
+        expected = []
+        with np.errstate(all="ignore"), caches_enabled(False):
+            for p in (3, 5, 8):
+                expected += [fit_kernel(kernel, x[:p], y[:p]) for kernel in kernels]
+        assert grid == expected
+        assert again == expected
+
+    def test_self_check_adds_no_profiled_solves(self, monkeypatch):
+        monkeypatch.setattr(fastfit, "LEAN_CHECK", fastfit._LeanCheck())
+        before = PROFILER.snapshot()
+        assert fastfit.LEAN_CHECK.passed()
+        assert "nonlinear_solve" not in profile_delta(before, PROFILER.snapshot())
+
+    @pytest.mark.parametrize("strategy", FIT_STRATEGIES)
+    def test_cold_extrapolation_solves_each_start_once(self, monkeypatch, strategy):
+        # A fresh gate, so the first solve (and the self-check) falls inside
+        # the measured window.
+        monkeypatch.setattr(fastfit, "LEAN_CHECK", fastfit._LeanCheck())
+        x = np.arange(1.0, 11.0)
+        y = x / (1.0 + 0.07 * x) + 0.05 * np.sin(x)
+        config = EstimaConfig(fit_strategy=strategy)
+        prefixes = _prepare_sweep(x, y, config, 32).prefixes
+        starts = sum(
+            len(kernel.initial_guesses)
+            for kernel in config.kernels
+            if _linear_design(kernel.name, x) is None
+        )
+        before = PROFILER.snapshot()
+        with caches_enabled(False):
+            extrapolate_series(x, y, config, target_cores=32)
+        delta = profile_delta(before, PROFILER.snapshot())
+        assert delta["nonlinear_solve"]["calls"] == len(prefixes) * starts
 
 
 # --------------------------------------------------------------------------- #
@@ -316,27 +530,6 @@ class TestCacheInterop:
                 for kernel in kernels:
                     hit, _ = FIT_CACHE.get(fit_key(kernel.name, vx[:p], vy[:p], 600))
                     assert hit, f"cell ({p}, {kernel.name}) not cached"
-
-
-# --------------------------------------------------------------------------- #
-# Opt-in screening mode
-# --------------------------------------------------------------------------- #
-
-
-class TestPruneMode:
-    def test_prune_mode_runs_and_counts_pruned_starts(self, monkeypatch):
-        monkeypatch.setenv(ENV_FIT_SCREEN, "prune")
-        x = np.arange(1.0, 11.0)
-        y = x / (1.0 + 0.07 * x) + 0.05 * np.sin(x)  # data-limited, not perfect-fit
-        before = PROFILER.snapshot()
-        result = extrapolate_series(
-            x, y, EstimaConfig(fit_strategy="vectorized"), target_cores=32
-        )
-        delta = profile_delta(before, PROFILER.snapshot())
-        assert np.all(np.isfinite(result.predict(np.arange(1.0, 33.0))))
-        assert "start_screen" in delta
-        pruned = delta.get("nonlinear_starts_pruned", {}).get("calls", 0)
-        assert pruned > 0, "no starts pruned on a data-limited series"
 
 
 # --------------------------------------------------------------------------- #
