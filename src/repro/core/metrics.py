@@ -69,7 +69,9 @@ def pearson_correlation(
 
     Constant series have zero variance; the paper's correlation tables never
     hit this case but the simulator can produce it for trivially small runs,
-    so it is defined as 0.0 rather than raising.
+    so it is defined as 0.0 rather than raising. Constancy is tested on the
+    range, not on ``np.std``: the mean of equal values can round away from
+    them, which leaves a tiny nonzero std and a spurious correlation of 1.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
@@ -77,9 +79,7 @@ def pearson_correlation(
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ValueError("correlation requires at least two points")
-    sa = np.std(a)
-    sb = np.std(b)
-    if sa == 0.0 or sb == 0.0:
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         return 0.0
     return float(np.corrcoef(a, b)[0, 1])
 

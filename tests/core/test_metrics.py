@@ -63,6 +63,12 @@ class TestPearsonCorrelation:
     def test_constant_series_defined_as_zero(self):
         assert pearson_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
 
+    def test_constant_series_with_inexact_mean_is_zero(self):
+        # The float mean of these equal values differs from them, so np.std
+        # of the series is a tiny nonzero number.
+        x = np.full(3, 699051.1812673935)
+        assert pearson_correlation(x, x * 2.0 + 5.0) == 0.0
+
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             pearson_correlation([1.0], [1.0])
