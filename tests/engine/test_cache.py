@@ -187,3 +187,47 @@ class TestExtrapolationCacheWiring:
                 assert not FIT_CACHE.enabled
             assert FIT_CACHE.enabled
         assert not FIT_CACHE.enabled
+
+
+class TestKeyFormatPinned:
+    """On-disk cache entries are addressed by these digests: pin their bytes.
+
+    A change of either hex string orphans every persisted disk-tier entry
+    (or, worse, makes different inputs collide), so it must be deliberate.
+    """
+
+    MEASUREMENTS_HEX = "588d2c415ded2d5fb592fd50ce222158"
+    CONFIG_HEX = "99813298f9a807ea3d6508bc3e0a9712"
+
+    @staticmethod
+    def _measurements():
+        from repro.core.measurement import Measurement, MeasurementSet
+
+        return MeasurementSet(
+            measurements=tuple(
+                Measurement(
+                    cores=cores,
+                    time=10.0 / cores + 0.125,
+                    hardware_stalls={"rob_full": 1.5e9 * cores, "ls_full": 3.0e8 + cores / 3.0},
+                    software_stalls={"lock_spin_cycles": 2.0e7 * cores * cores},
+                    frontend_stalls={"icache": 1e6},
+                    memory_footprint_mb=512.0,
+                )
+                for cores in (1, 2, 4, 8)
+            ),
+            workload="genome",
+            machine="xeon20",
+            frequency_ghz=2.4,
+            dataset_size=1.0,
+        )
+
+    def test_measurements_digest_is_pinned(self):
+        from repro.engine.cache import measurements_digest
+
+        assert measurements_digest(self._measurements()) == self.MEASUREMENTS_HEX
+
+    def test_config_digest_is_pinned(self):
+        from repro.engine.cache import config_digest
+
+        config = EstimaConfig(checkpoints=3, dataset_ratio=2.0, max_extrapolation_factor=50.0)
+        assert config_digest(config) == self.CONFIG_HEX
