@@ -489,8 +489,20 @@ def config_digest(config: object) -> str:
     )
 
 
+_SCALAR_TYPES = frozenset({float, int, str, bool, type(None)})
+
+
 def _freeze(value: object) -> object:
     """Recursively convert mappings/sequences into hashable, ordered tuples."""
+    # Exact-type fast paths for what ``to_dict`` payloads hold; anything
+    # else takes the general branches below, which produce the same output.
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return value
+    if kind is dict:
+        return tuple((k, _freeze(v)) for k, v in sorted(value.items()))
+    if kind is list or kind is tuple:
+        return tuple(_freeze(v) for v in value)
     if isinstance(value, Mapping):
         return tuple((k, _freeze(v)) for k, v in sorted(value.items()))
     if isinstance(value, (list, tuple)):

@@ -21,9 +21,10 @@ extrapolates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+from .clamp import clamp
 
 __all__ = ["CacheLevel", "CacheHierarchy", "CacheBehaviour"]
 
@@ -95,7 +96,7 @@ class CacheHierarchy:
         ratio = capacity_kb / working_set_kb
         if ratio >= 1.0:
             return 1.0
-        return float(np.sqrt(ratio))
+        return math.sqrt(ratio)
 
     def behaviour(
         self,
@@ -129,8 +130,8 @@ class CacheHierarchy:
             raise ValueError("thread counts must be >= 1")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be within [0, 1]")
-        shared_access_fraction = float(np.clip(shared_access_fraction, 0.0, 1.0))
-        shared_write_fraction = float(np.clip(shared_write_fraction, 0.0, 1.0))
+        shared_access_fraction = clamp(shared_access_fraction, 0.0, 1.0)
+        shared_write_fraction = clamp(shared_write_fraction, 0.0, 1.0)
 
         ws_kb = private_working_set_kb + shared_working_set_kb
         hit_fractions: dict[str, float] = {level.name: 0.0 for level in self.levels}
@@ -169,7 +170,7 @@ class CacheHierarchy:
         coherence = (
             _COHERENCE_PROPENSITY * sharing_penalty * (1.0 - 1.0 / total_threads)
         )
-        coherence = float(np.clip(coherence, 0.0, 0.5))
+        coherence = clamp(coherence, 0.0, 0.5)
 
         cache_served = sum(hit_fractions.values())
         stolen = min(coherence, cache_served)

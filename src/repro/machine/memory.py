@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from .clamp import clamp
 from .topology import CorePlacement
 
 __all__ = ["MemorySystem", "MemoryBehaviour"]
@@ -71,7 +70,7 @@ class MemorySystem:
         ``(sockets_used - 1) / sockets_used`` of it remote.  Private data stays
         local.
         """
-        shared_access_fraction = float(np.clip(shared_access_fraction, 0.0, 1.0))
+        shared_access_fraction = clamp(shared_access_fraction, 0.0, 1.0)
         if placement.sockets_used <= 1:
             return 0.0
         spread = (placement.sockets_used - 1) / placement.sockets_used
@@ -81,7 +80,7 @@ class MemorySystem:
         self, placement: CorePlacement, shared_access_fraction: float
     ) -> float:
         """Fraction of accesses crossing dies *within* a socket (Opteron MCM)."""
-        shared_access_fraction = float(np.clip(shared_access_fraction, 0.0, 1.0))
+        shared_access_fraction = clamp(shared_access_fraction, 0.0, 1.0)
         chips_in_sockets = placement.chips_used - (placement.sockets_used - 1)
         if placement.chips_used <= placement.sockets_used:
             return 0.0
@@ -110,7 +109,7 @@ class MemorySystem:
         threads_on_busiest = placement.max_threads_per_socket
         bytes_per_second = misses_per_second_per_thread * _CACHE_LINE_BYTES * threads_on_busiest
         capacity = self.bandwidth_gbs_per_socket * 1e9
-        utilisation = float(np.clip(bytes_per_second / capacity, 0.0, 0.999))
+        utilisation = clamp(bytes_per_second / capacity, 0.0, 0.999)
         queue_inflation = min(1.0 / (1.0 - utilisation), _MAX_QUEUE_INFLATION)
 
         remote = self.remote_access_fraction(placement, shared_access_fraction)

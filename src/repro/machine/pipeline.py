@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .caches import CacheBehaviour
+from .clamp import clamp
 from .counters import StallSource
 from .memory import MemoryBehaviour
 
@@ -135,7 +134,7 @@ def decompose_stalls(
 
     # --- DEPENDENCY: scheduler starvation scales with how much of the window
     # is already blocked on memory (dependent work cannot be found). --------
-    window_pressure = float(np.clip(exposed_load_latency / (exposed_load_latency + 50.0), 0.0, 1.0))
+    window_pressure = clamp(exposed_load_latency / (exposed_load_latency + 50.0), 0.0, 1.0)
     dependency_stalls = mix.useful_cycles_per_op * 0.15 * (0.3 + window_pressure)
 
     # --- FPU_PRESSURE: long-latency FP pipes back up. -----------------------

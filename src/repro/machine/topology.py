@@ -17,9 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 __all__ = ["CorePlacement", "Topology"]
+
+
+def _fill(threads: int, capacity: int) -> tuple[int, ...]:
+    """Occupancy of consecutive units of ``capacity`` contexts filled in order."""
+    full, rest = divmod(threads, capacity)
+    return (capacity,) * full + ((rest,) if rest else ())
 
 
 @dataclass(frozen=True)
@@ -29,16 +33,10 @@ class CorePlacement:
     threads: int
     sockets_used: int
     chips_used: int
-    threads_per_chip: np.ndarray  # length == chips_used
-    threads_per_socket: np.ndarray  # length == sockets_used
-
-    @property
-    def max_threads_per_chip(self) -> int:
-        return int(self.threads_per_chip.max())
-
-    @property
-    def max_threads_per_socket(self) -> int:
-        return int(self.threads_per_socket.max())
+    threads_per_chip: tuple[int, ...]  # length == chips_used
+    threads_per_socket: tuple[int, ...]  # length == sockets_used
+    max_threads_per_chip: int
+    max_threads_per_socket: int
 
     @property
     def crosses_socket(self) -> bool:
@@ -116,23 +114,18 @@ class Topology:
             raise ValueError(
                 f"machine has {self.total_threads} hardware threads, requested {threads}"
             )
-        per_chip = np.zeros(self.total_chips, dtype=int)
-        per_socket = np.zeros(self.sockets, dtype=int)
-        placed = 0
-        for socket, chip, _ctx in self.core_order():
-            if placed >= threads:
-                break
-            per_chip[socket * self.chips_per_socket + chip] += 1
-            per_socket[socket] += 1
-            placed += 1
-        chips_used = int(np.count_nonzero(per_chip))
-        sockets_used = int(np.count_nonzero(per_socket))
+        # Socket-first fill (the order of core_order()): every chip before
+        # the last used one is full, and so is every socket.
+        per_chip = _fill(threads, self.threads_per_chip)
+        per_socket = _fill(threads, self.threads_per_socket)
         return CorePlacement(
             threads=threads,
-            sockets_used=sockets_used,
-            chips_used=chips_used,
-            threads_per_chip=per_chip[per_chip > 0],
-            threads_per_socket=per_socket[per_socket > 0],
+            sockets_used=len(per_socket),
+            chips_used=len(per_chip),
+            threads_per_chip=per_chip,
+            threads_per_socket=per_socket,
+            max_threads_per_chip=per_chip[0],
+            max_threads_per_socket=per_socket[0],
         )
 
     def core_counts(self, *, step: int = 1, include_one: bool = True) -> list[int]:

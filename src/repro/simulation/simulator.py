@@ -35,11 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.measurement import MeasurementSet
-from repro.machine.caches import CacheBehaviour
 from repro.machine.counters import FALLBACK_SOURCE, StallSource
 from repro.machine.machines import MachineSpec
 from repro.machine.memory import MemoryBehaviour
-from repro.machine.pipeline import decompose_stalls
+from repro.machine.pipeline import StallBreakdown, decompose_stalls
 from repro.sync import SyncCost, combine_costs
 from repro.workloads.base import Workload, WorkloadProfile
 
@@ -115,27 +114,30 @@ class MachineSimulator:
             private_ws_kb /= threads
         shared_ws_kb = profile.shared_working_set_mb * 1024.0
 
+        # The cache model depends on the working sets and the placement only,
+        # so it stays fixed while the fixed point iterates.
+        cache = self.machine.caches.behaviour(
+            private_working_set_kb=private_ws_kb,
+            shared_working_set_kb=shared_ws_kb,
+            threads_on_chip=placement.max_threads_per_chip,
+            shared_access_fraction=profile.shared_access_fraction,
+            shared_write_fraction=profile.shared_write_fraction,
+            total_threads=threads,
+            locality=profile.locality,
+        )
+        miss_rate = cache.miss_rate()
+        sync_models = profile.sync_models()
+
         # Fixed point over (cycles per op) <-> (contention, bandwidth demand).
         cycles_per_op = mix.useful_cycles_per_op * 2.0
-        cache: CacheBehaviour | None = None
         memory: MemoryBehaviour | None = None
+        breakdown: StallBreakdown | None = None
         sync_cost: SyncCost = SyncCost()
         backend = {}
         for _ in range(_FIXED_POINT_ITERATIONS):
-            sync_cost = combine_costs(
-                *(model.cost(threads, cycles_per_op) for model in profile.sync_models())
-            )
-            cache = self.machine.caches.behaviour(
-                private_working_set_kb=private_ws_kb,
-                shared_working_set_kb=shared_ws_kb,
-                threads_on_chip=placement.max_threads_per_chip,
-                shared_access_fraction=profile.shared_access_fraction,
-                shared_write_fraction=profile.shared_write_fraction,
-                total_threads=threads,
-                locality=profile.locality,
-            )
+            sync_cost = combine_costs(*(model.cost(threads, cycles_per_op) for model in sync_models))
             mem_refs = mix.mem_refs_per_op + sync_cost.extra_coherence_accesses
-            misses_per_op = mem_refs * cache.miss_rate()
+            misses_per_op = mem_refs * miss_rate
             ops_per_second = freq_hz / max(cycles_per_op, 1.0)
             memory = self.machine.memory.behaviour(
                 placement=placement,
@@ -157,11 +159,8 @@ class MachineSimulator:
                 mix.useful_cycles_per_op + backend_total + sync_cost.total_software_cycles
             )
 
-        assert cache is not None and memory is not None
-        frontend = decompose_stalls(
-            mix, cache, memory, icache_miss_rate=profile.icache_miss_rate
-        ).frontend
-        backend_total = sum(backend.values())
+        assert memory is not None and breakdown is not None
+        frontend = breakdown.frontend
         software_total = sync_cost.total_software_cycles
 
         # --- Execution time ------------------------------------------------
@@ -188,17 +187,19 @@ class MachineSimulator:
         }
 
         # --- Deterministic measurement jitter -------------------------------
-        rng = np.random.default_rng(
-            _stable_seed(self.machine.name, profile.name, threads, dataset_scale)
-        )
         sigma = self.noise * profile.noise_level
         if sigma > 0.0:
-            time_seconds *= float(np.exp(rng.normal(0.0, sigma)))
-            hardware = {k: v * float(np.exp(rng.normal(0.0, sigma))) for k, v in hardware.items()}
-            software = {k: v * float(np.exp(rng.normal(0.0, sigma))) for k, v in software.items()}
-            frontend_counters = {
-                k: v * float(np.exp(rng.normal(0.0, sigma))) for k, v in frontend_counters.items()
-            }
+            rng = np.random.default_rng(
+                _stable_seed(self.machine.name, profile.name, threads, dataset_scale)
+            )
+            # One lognormal factor per value, drawn in the order time,
+            # hardware, software, frontend (the same stream as one draw each).
+            count = 1 + len(hardware) + len(software) + len(frontend_counters)
+            factors = iter(np.exp(rng.normal(0.0, sigma, count)).tolist())
+            time_seconds *= next(factors)
+            hardware = {k: v * next(factors) for k, v in hardware.items()}
+            software = {k: v * next(factors) for k, v in software.items()}
+            frontend_counters = {k: v * next(factors) for k, v in frontend_counters.items()}
 
         details = SimulationDetails(
             useful_cycles_per_op=mix.useful_cycles_per_op,

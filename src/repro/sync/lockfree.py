@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.machine.clamp import clamp
 
 from .stats import SyncCost
 
@@ -64,7 +64,7 @@ class LockFreeModel:
             return 0.0
         contenders = (threads - 1) * self.update_fraction
         p = contenders / (contenders + self.hot_locations)
-        return float(np.clip(p, 0.0, _MAX_FAILURE))
+        return clamp(p, 0.0, _MAX_FAILURE)
 
     def cost(self, threads: int, work_cycles_per_op: float) -> SyncCost:
         """Per-operation retry cost (reported as ``cas_retry_cycles``)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.machine.clamp import clamp
 
 from .stats import SyncCost
 
@@ -53,7 +53,7 @@ class MutexModel:
         cycles_per_op = max(work_cycles_per_op, 1.0)
         arrival = (threads - 1) * self.acquires_per_op / (cycles_per_op * self.num_locks)
         holding = self.critical_section_cycles + _ATOMIC_RMW_CYCLES
-        return float(np.clip(arrival * holding, 0.0, 0.98))
+        return clamp(arrival * holding, 0.0, 0.98)
 
     def cost(self, threads: int, work_cycles_per_op: float) -> SyncCost:
         """Per-operation mutex cost (reported as ``lock_block_cycles``)."""

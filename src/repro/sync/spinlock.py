@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.machine.clamp import clamp
 
 from .stats import SyncCost
 
@@ -71,7 +71,7 @@ class SpinlockModel:
         # Rate (per cycle) at which the *other* threads hit the same lock.
         arrival = (threads - 1) * self.acquires_per_op / (cycles_per_op * self.num_locks)
         holding = self.critical_section_cycles + _ATOMIC_RMW_CYCLES
-        return float(np.clip(arrival * holding, 0.0, 0.98))
+        return clamp(arrival * holding, 0.0, 0.98)
 
     def cost(self, threads: int, work_cycles_per_op: float) -> SyncCost:
         """Per-operation cost of this lock at ``threads`` threads.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.machine.clamp import clamp
 
 from .stats import SyncCost
 
@@ -89,7 +89,7 @@ class StmModel:
     def pairwise_conflict_probability(self) -> float:
         """Probability two concurrent transactions conflict."""
         p = (self.write_footprint * (self.write_footprint + 1.0)) / self.conflict_table_size
-        return float(np.clip(p, 0.0, 1.0))
+        return clamp(p, 0.0, 1.0)
 
     def aborts_per_commit(self, threads: int) -> float:
         """Expected aborted attempts for every committed transaction."""

@@ -85,3 +85,28 @@ class TestPlacement:
         assert int(np.sum(placement.threads_per_chip)) == threads
         assert int(np.sum(placement.threads_per_socket)) == threads
         assert placement.sockets_used == int(np.ceil(threads / topo.threads_per_socket))
+
+    @given(
+        sockets=st.integers(1, 4),
+        chips=st.integers(1, 3),
+        cores=st.integers(1, 6),
+        smt=st.integers(1, 2),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_core_order_walk(self, sockets, chips, cores, smt, data):
+        topo = Topology(sockets=sockets, chips_per_socket=chips, cores_per_chip=cores, smt=smt)
+        threads = data.draw(st.integers(1, topo.total_threads))
+        per_chip: dict[tuple[int, int], int] = {}
+        per_socket: dict[int, int] = {}
+        for socket, chip, _ctx in list(topo.core_order())[:threads]:
+            per_chip[socket, chip] = per_chip.get((socket, chip), 0) + 1
+            per_socket[socket] = per_socket.get(socket, 0) + 1
+        placement = topo.place(threads)
+        assert placement.threads_per_chip == tuple(per_chip.values())
+        assert placement.threads_per_socket == tuple(per_socket.values())
+        assert placement.chips_used == len(per_chip)
+        assert placement.sockets_used == len(per_socket)
+        assert placement.max_threads_per_chip == max(per_chip.values())
+        assert placement.max_threads_per_socket == max(per_socket.values())
+        assert all(type(n) is int for n in placement.threads_per_chip)
