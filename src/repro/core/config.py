@@ -156,7 +156,6 @@ class EstimaConfig:
     frequency_ratio: float = 1.0
     dataset_ratio: float = 1.0
     max_extrapolation_factor: float = 1e4
-    random_seed: int = 0
     executor: str = "serial"
     max_workers: int = 0
     use_fit_cache: bool = False

@@ -343,6 +343,9 @@ class _HostHealth:
     failures: int = 0
     retries: int = 0
     consecutive_failures: int = 0
+    # Bumped by every recorded failure; an attempt's success counts only if
+    # the epoch it started in is still current.
+    failure_epoch: int = 0
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -398,7 +401,19 @@ class BackendPool:
     # ------------------------------------------------------------------ #
     # Health bookkeeping
     # ------------------------------------------------------------------ #
-    def _record(self, address: str, *, ok: bool, retry: bool = False) -> None:
+    def _failure_epoch(self, address: str) -> int:
+        with self._lock:
+            return self._health[address].failure_epoch
+
+    def _record(
+        self, address: str, *, ok: bool, retry: bool = False, epoch: int | None = None
+    ) -> None:
+        """Record one attempt's outcome; ``epoch`` is the failure epoch it began in.
+
+        A success marks the host up only if no failure was recorded since
+        its attempt began: two shards can share a backend, and a late answer
+        to an exchange that started before the host died must not revive it.
+        """
         with self._lock:
             health = self._health[address]
             if retry:
@@ -406,11 +421,13 @@ class BackendPool:
             else:
                 health.requests += 1
                 if ok:
-                    health.up = True
-                    health.consecutive_failures = 0
+                    if epoch == health.failure_epoch:
+                        health.up = True
+                        health.consecutive_failures = 0
                 else:
                     health.failures += 1
                     health.consecutive_failures += 1
+                    health.failure_epoch += 1
                     health.up = False
         sync_point("cluster.pool.recorded")
 
@@ -469,12 +486,13 @@ class BackendPool:
                     self._record(address, ok=False, retry=True)
                     self._sleep(self.backoff_base_s * (2 ** (attempt - 1)))
                 sync_point("cluster.pool.attempt")
+                epoch = self._failure_epoch(address)
                 try:
                     documents = client.request(payload)
                 except RemoteUnavailableError as exc:
                     last_error = exc
                     continue
-                self._record(address, ok=True)
+                self._record(address, ok=True, epoch=epoch)
                 return documents
             self._record(address, ok=False)
         raise RemoteUnavailableError(

@@ -24,7 +24,7 @@ import json
 import socket
 import threading
 
-from repro.engine.cluster.remote import BackendPool
+from repro.engine.cluster.remote import BackendPool, RemoteUnavailableError
 from repro.testing import Scenario, ScheduleController, explore, sync_point
 
 FULL_CAMPAIGN = [
@@ -325,3 +325,67 @@ class TestHealthProbeBoundaries:
         finally:
             pool.close()
             healthy.close()
+
+
+class _ScriptedClient:
+    """Stands in for a ``RemoteClient``: each request runs the next script step."""
+
+    def __init__(self, steps) -> None:
+        self._steps = list(steps)
+        self._lock = threading.Lock()
+
+    def request(self, payload):
+        with self._lock:
+            step = self._steps.pop(0)
+        return step(payload)
+
+    def close(self) -> None:
+        pass
+
+
+class TestLateSuccessAfterFailure:
+    """Two shards on one host: a late success must not revive a host that died."""
+
+    def test_late_success_does_not_mark_a_failed_host_up(self):
+        pool = BackendPool(["127.0.0.1:1", "127.0.0.1:2"], retries=0, sleep=lambda _s: None)
+        dying = pool.ring.node_for("shard-a")
+        other = next(a for a in pool.backends if a != dying)
+        key_b = _key_owned_by(pool, dying)
+        a_in_flight = threading.Event()
+        release_a = threading.Event()
+
+        def shard_a_blocks_then_answers(payload):
+            a_in_flight.set()
+            assert release_a.wait(10)
+            return [{"ok": True, "shard": payload["shard"]}]
+
+        def shard_b_fails(payload):
+            raise RemoteUnavailableError("connection reset")
+
+        pool._clients[dying] = _ScriptedClient([shard_a_blocks_then_answers, shard_b_fails])
+        pool._clients[other] = _ScriptedClient([lambda payload: [{"ok": True, "shard": payload["shard"]}]])
+        answers = {}
+        shard_a = threading.Thread(
+            target=lambda: answers.setdefault("a", pool.request("shard-a", {"shard": "a"}))
+        )
+        shard_a.start()
+        try:
+            assert a_in_flight.wait(10)
+            # Shard B's exchange on the same host fails: the host is down and
+            # B is answered by the next ring node.
+            assert pool.request(key_b, {"shard": "b"}) == [{"ok": True, "shard": "b"}]
+            assert not pool.host_up(dying)
+        finally:
+            release_a.set()
+            shard_a.join(10)
+        # Shard A's exchange began before the failure; its late answer is
+        # returned, but it says nothing about the host after the failure.
+        assert answers["a"] == [{"ok": True, "shard": "a"}]
+        assert not pool.host_up(dying)
+        stats = pool.stats()["per_backend"][dying]
+        assert stats == {"up": False, "requests": 2, "failures": 1, "retries": 0}
+        # A success that starts after the failure heals the host as before.
+        pool._clients[dying] = _ScriptedClient([lambda payload: [{"ok": True}]])
+        pool.mark_probe(dying, up=True)
+        assert pool.request(key_b, {"shard": "c"}) == [{"ok": True}]
+        assert pool.host_up(dying)
