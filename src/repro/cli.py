@@ -54,12 +54,10 @@ simulation substrate:
     fits computed once ship to every serving host.
 
 ``estima profile --workload intruder --machine opteron48 --measure-cores 12 --target-cores 48``
-    Run the same prediction cold under both fit-grid strategies
-    (``serial`` — the scalar reference loop — and ``vectorized`` — the
-    batched engine of ``repro.core.fastfit``), verify the predicted rows
-    are identical, and print a per-stage timing table (design solves,
-    non-linear solves, realism screening, checkpoint scoring) with the
-    end-to-end speedup.  ``--json`` emits the comparison machine-readably.
+    Run the prediction once with cold caches and print its wall time and a
+    per-stage timing table (design solves, non-linear solves, realism
+    screening, checkpoint scoring).  ``--json`` emits the same numbers
+    machine-readably.
 
 ``estima list``
     Show the available workloads and machines.
@@ -79,8 +77,6 @@ import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
-
-import numpy as np
 
 from repro.analysis.bottleneck import BottleneckReport
 from repro.core import EstimaConfig, EstimaPredictor, MeasurementSet, TimeExtrapolation
@@ -135,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--executor",
         default=None,
-        help="execution backend: serial, threads[:N] or parallel[:N] "
-        "(threads parallelises the kernel fits of this prediction)",
+        help="execution backend: serial or parallel[:N]",
     )
     predict.add_argument(
         "--fit-cache",
@@ -178,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--executor",
         default=None,
-        help="execution backend: serial, threads[:N] (fit-level) or "
-        "parallel[:N] (workload-level; default: $ESTIMA_EXECUTOR or serial)",
+        help="execution backend: serial or parallel[:N] "
+        "(workload-level; default: $ESTIMA_EXECUTOR or serial)",
     )
     campaign.add_argument(
         "--fit-cache",
@@ -360,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="time one prediction under both fit-grid strategies, stage by stage",
+        help="time one cold prediction, stage by stage",
     )
     profile.add_argument("--workload", choices=sorted(WORKLOADS), help="workload to simulate")
     profile.add_argument("--machine", choices=sorted(MACHINES), help="machine to simulate on")
@@ -373,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         dest="as_json",
-        help="emit the per-strategy stage timings as a JSON document",
+        help="emit the wall time and stage timings as a JSON document",
     )
     profile.set_defaults(func=_cmd_profile)
     return parser
@@ -1014,56 +1009,32 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.measure_cores:
         measurements = measurements.restrict_to(args.measure_cores)
 
-    from repro.core.fastfit import FIT_STRATEGIES
-
-    legs: dict[str, dict] = {}
-    predictions = {}
-    for strategy in FIT_STRATEGIES:
-        config = EstimaConfig(
-            checkpoints=args.checkpoints,
-            use_software_stalls=not args.no_software_stalls,
-            fit_strategy=strategy,
-        )
-        clear_caches()  # both legs run cold: no fits shared across strategies
-        profile_before = PROFILER.snapshot()
-        started = time.perf_counter()
-        prediction = EstimaPredictor(config).predict(
-            measurements, target_cores=args.target_cores
-        )
-        wall_s = time.perf_counter() - started
-        predictions[strategy] = prediction
-        legs[strategy] = {
-            "wall_s": wall_s,
-            "profile": profile_delta(profile_before, PROFILER.snapshot()),
-        }
-
-    serial, vectorized = (predictions[s] for s in ("serial", "vectorized"))
-    rows_identical = bool(
-        np.array_equal(serial.predicted_times, vectorized.predicted_times)
-        and np.array_equal(serial.prediction_cores, vectorized.prediction_cores)
+    config = EstimaConfig(
+        checkpoints=args.checkpoints,
+        use_software_stalls=not args.no_software_stalls,
     )
-    speedup = legs["serial"]["wall_s"] / max(legs["vectorized"]["wall_s"], 1e-9)
+    clear_caches()  # the timed prediction runs cold
+    profile_before = PROFILER.snapshot()
+    started = time.perf_counter()
+    EstimaPredictor(config).predict(measurements, target_cores=args.target_cores)
+    wall_s = time.perf_counter() - started
+    profile = profile_delta(profile_before, PROFILER.snapshot())
 
     if args.as_json:
         payload = {
             "source": source,
             "target_cores": args.target_cores,
-            "strategies": legs,
-            "speedup": speedup,
-            "rows_identical": rows_identical,
+            "wall_s": wall_s,
+            "profile": profile,
         }
         print(json.dumps(payload, indent=2))
-        return 0 if rows_identical else 1
+        return 0
 
     print(f"profile: {source}, target {args.target_cores} cores (cold caches)")
-    for strategy in FIT_STRATEGIES:
-        leg = legs[strategy]
-        print(f"\n{strategy}: {leg['wall_s']:.3f}s")
-        lines = _format_profile_lines(leg["profile"])
-        print("\n".join(lines) if lines else "  (no instrumented stages ran)")
-    print(f"\nspeedup: {speedup:.2f}x (serial/vectorized)")
-    print(f"predicted rows identical: {'yes' if rows_identical else 'NO'}")
-    return 0 if rows_identical else 1
+    print(f"\nwall time: {wall_s:.3f}s")
+    lines = _format_profile_lines(profile)
+    print("\n".join(lines) if lines else "  (no instrumented stages ran)")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -63,11 +63,10 @@ class EstimaConfig:
         the largest training value is discarded as "not realistic".
     executor:
         Execution backend for campaign/experiment fan-out: ``"serial"`` (the
-        default, bit-identical reference path), ``"threads[:N]"`` (a thread
-        pool parallelising at the fit/kernel level) or ``"parallel[:N]"`` (a
-        process pool at the workload level; see
-        :mod:`repro.engine.executor`).  ``ESTIMA_EXECUTOR`` in the
-        environment overrides the ``"serial"`` default.
+        default, an in-process loop) or ``"parallel[:N]"`` (a process pool
+        at the workload level; see :mod:`repro.engine.executor`).
+        ``ESTIMA_EXECUTOR`` in the environment overrides the ``"serial"``
+        default.
     max_workers:
         Worker count for the pool backends; ``0`` sizes the pool to the
         machine's CPU count.
@@ -118,34 +117,22 @@ class EstimaConfig:
         defers to ``ESTIMA_SERVE_IDLE_TIMEOUT``; 0 disables the timeout.
     route_backends:
         Comma-separated ``host:port`` list of downstream ``estima serve``
-        hosts for the cluster router (``estima route``) and the ``remote``
-        executor.  ``None`` (the default) defers to
+        hosts for the cluster router (``estima route``).  ``None`` (the
+        default) defers to
         ``ESTIMA_ROUTE_BACKENDS``.  Validated strictly at construction
         (well-formed addresses, no duplicates, no port 0).
     remote_timeout:
-        Per-request socket timeout in seconds for remote backend calls
-        (router and ``remote`` executor).  ``ESTIMA_REMOTE_TIMEOUT``
-        overrides the CLI default.
+        Per-request socket timeout in seconds for the router's backend
+        calls.  ``ESTIMA_REMOTE_TIMEOUT`` overrides the CLI default.
     remote_retries:
         Retries per backend host (beyond the first attempt, exponential
         backoff) before failing over to the next ring node.
         ``ESTIMA_REMOTE_RETRIES`` overrides the CLI default.
-    fit_strategy:
-        How the Section-3.1.2 (prefix, kernel) fit grid is computed:
-        ``"vectorized"`` (the batched engine of :mod:`repro.core.fastfit` —
-        prefix-shared linear solves, a lean reference-equal LM/TRF driver
-        that evaluates each residual and its Jacobian in one stacked kernel
-        call, batched candidate screening) or ``"serial"`` (the scalar
-        reference loop).  ``None`` (the default) defers to
-        ``ESTIMA_FIT_STRATEGY``, falling back to ``"vectorized"``.  Both
-        strategies solve every start and produce bit-identical chosen fits
-        and predicted rows; the strategy therefore never takes part in
-        cache keys.
 
     None of the engine knobs (``executor``, ``max_workers``,
     ``use_fit_cache``, ``cache_*``, ``serve_*``, ``route_backends``,
-    ``remote_*``, ``fit_strategy``) affect predicted numbers — only how
-    fast (and where) they are produced.
+    ``remote_*``) affect predicted numbers — only how fast (and where) they
+    are produced.
     """
 
     kernel_names: tuple[str, ...] = DEFAULT_KERNEL_NAMES
@@ -171,7 +158,6 @@ class EstimaConfig:
     route_backends: str | None = None
     remote_timeout: float = 30.0
     remote_retries: int = 2
-    fit_strategy: str | None = None
 
     def __post_init__(self) -> None:
         # Engine imports are deferred to the call: repro.engine.cache is a
@@ -254,13 +240,6 @@ class EstimaConfig:
         parse_remote_retries(self.remote_retries)  # raises when malformed
         remote_timeout_from_env()  # validates ESTIMA_REMOTE_TIMEOUT
         remote_retries_from_env()  # validates ESTIMA_REMOTE_RETRIES
-        # Core sibling import, also deferred: fastfit pulls in scipy via
-        # repro.core.fitting, which config must not require at module scope.
-        from repro.core.fastfit import fit_strategy_from_env, parse_fit_strategy
-
-        if self.fit_strategy is not None:
-            parse_fit_strategy(self.fit_strategy)
-        fit_strategy_from_env()  # validates ESTIMA_FIT_STRATEGY
         if self.frequency_ratio <= 0.0:
             raise ValueError("frequency_ratio must be positive")
         if self.dataset_ratio <= 0.0:

@@ -46,17 +46,13 @@ bit-identical to the scalar reference path in :mod:`repro.core.fitting`:
    evaluation is elementwise, so the stacked values are bit-identical to
    the per-candidate ones).
 
-Strategy selection lives here too: ``EstimaConfig(fit_strategy=...)`` or
-``ESTIMA_FIT_STRATEGY`` chooses ``"vectorized"`` (the default) or
-``"serial"`` (the reference scalar loop).  The strategy never takes part in
-cache keys — both strategies produce identical fits, so they share cache
-entries (the grid probes and fills the engine's fit cache with the same
-per-cell keys and hit/miss accounting as the scalar path).
+The grid probes and fills the engine's fit cache under the same per-cell
+keys (and hit/miss accounting) as the scalar :func:`repro.core.fitting.fit_kernel`,
+so the two share entries in both directions.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from typing import Callable, Sequence
@@ -89,63 +85,16 @@ except ImportError:  # pragma: no cover - depends on the installed scipy
     _lmder = None
 
 __all__ = [
-    "FIT_STRATEGIES",
-    "DEFAULT_FIT_STRATEGY",
-    "ENV_FIT_STRATEGY",
     "LEAN_CHECK",
-    "parse_fit_strategy",
-    "fit_strategy_from_env",
-    "resolve_fit_strategy",
     "fit_grid",
     "screen_candidates",
 ]
-
-#: Environment variable selecting the fit-grid strategy.
-ENV_FIT_STRATEGY = "ESTIMA_FIT_STRATEGY"
-
-#: Recognised strategies: the scalar reference loop and this engine.
-FIT_STRATEGIES = ("serial", "vectorized")
-
-#: Used when neither the config field nor the environment picks one.
-DEFAULT_FIT_STRATEGY = "vectorized"
 
 # least_squares' defaults, which the reference solve uses.
 _TOL = 1e-8
 
 # scipy's relative 2-point finite-difference step for float64 data.
 _FD_STEP = np.finfo(np.float64).eps ** 0.5
-
-
-# --------------------------------------------------------------------------- #
-# Strategy selection
-# --------------------------------------------------------------------------- #
-
-
-def parse_fit_strategy(value: object, *, source: str = "fit_strategy") -> str:
-    """Validate a strategy token; raises ``ValueError`` naming its source."""
-    token = str(value).strip().lower()
-    if token in FIT_STRATEGIES:
-        return token
-    raise ValueError(
-        f"invalid {source}={value!r}: expected one of {', '.join(FIT_STRATEGIES)}"
-    )
-
-
-def fit_strategy_from_env() -> str | None:
-    """The validated ``ESTIMA_FIT_STRATEGY`` value, or None when unset/blank."""
-    raw = os.environ.get(ENV_FIT_STRATEGY)
-    if raw is None or not raw.strip():
-        return None
-    return parse_fit_strategy(raw, source=ENV_FIT_STRATEGY)
-
-
-def resolve_fit_strategy(config: object) -> str:
-    """Strategy for a run: explicit config field, else environment, else default."""
-    value = getattr(config, "fit_strategy", None)
-    if value is not None:
-        return parse_fit_strategy(value)
-    env = fit_strategy_from_env()
-    return env if env is not None else DEFAULT_FIT_STRATEGY
 
 
 # --------------------------------------------------------------------------- #
@@ -581,11 +530,11 @@ def fit_grid(
     """Fit every (prefix, kernel) cell; returns fits in the sweep's grid order.
 
     The result list matches ``[(p, k) for p in prefixes for k in kernels]``
-    positionally — exactly what the scalar sweep produces cell by cell.
-    When the engine's fit cache is enabled, every cell is probed and filled
-    under the same content key (and with the same per-cell hit/miss
-    accounting) as the scalar path's ``fit_kernel`` calls, so warm entries
-    are shared across strategies in both directions.
+    positionally — the cell each :func:`repro.core.fitting.fit_kernel`
+    call on that prefix would return.  When the engine's fit cache is
+    enabled, every cell is probed and filled under the same content key (and
+    with the same per-cell hit/miss accounting) as ``fit_kernel``, so warm
+    entries are shared with it in both directions.
     """
     validated = _validate_series(cores, values)
     if validated is None:
@@ -604,19 +553,22 @@ def fit_grid(
                     fits[(p, kernel.name)] = value
                     cached.add((p, kernel.name))
 
-    for kernel in kernels:
-        todo = [p for p in prefixes if (p, kernel.name) not in fits]
-        if not todo:
-            continue
-        design_full = _linear_design(kernel.name, x)
-        if design_full is not None:
+    # Diverging starts hit poles and overflow; the residuals map non-finite
+    # values to 1e6 by design, so numpy's warnings report nothing wrong.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for kernel in kernels:
+            todo = [p for p in prefixes if (p, kernel.name) not in fits]
+            if not todo:
+                continue
+            design_full = _linear_design(kernel.name, x)
+            if design_full is not None:
+                for p in todo:
+                    fits[(p, kernel.name)] = _linear_fit(
+                        kernel, design_full[:p], x[:p], y[:p] / scales[p], scales[p]
+                    )
+                continue
             for p in todo:
-                fits[(p, kernel.name)] = _linear_fit(
-                    kernel, design_full[:p], x[:p], y[:p] / scales[p], scales[p]
-                )
-            continue
-        for p in todo:
-            fits[(p, kernel.name)] = _exact_cell(kernel, x[:p], y[:p], scales[p], max_nfev)
+                fits[(p, kernel.name)] = _exact_cell(kernel, x[:p], y[:p], scales[p], max_nfev)
 
     if FIT_CACHE.enabled:
         for (p, name), fit in fits.items():
@@ -644,10 +596,12 @@ def screen_candidates(
 
     Returns ``(grid_index, checkpoint_rmse)`` for every candidate that
     passes the realism predicate and scores finitely at the checkpoints, in
-    grid order — the same pairs the scalar screening loop produces, because
+    grid order — the same pairs a per-candidate screen
+    (:meth:`~repro.core.fitting.FittedFunction.is_realistic`, then
+    :func:`repro.core.metrics.rmse` at the checkpoints) produces, because
     the stacked kernel evaluation is elementwise-identical to the
     per-candidate one and the per-row RMSE reduces each row exactly like
-    the scalar :func:`repro.core.metrics.rmse`.
+    the scalar ``rmse``.
     """
     present: dict[str, list[tuple[int, FittedFunction]]] = {}
     for index, fitted in enumerate(fitted_grid):

@@ -25,8 +25,9 @@ The single-solve primitives (``_solve_start``, ``_linear_fit``,
 ``_finish_nonlinear``) are deliberately free-standing: the vectorized grid
 engine (:mod:`repro.core.fastfit`) builds its cells from exactly these
 pieces (its lean driver reproduces ``_solve_start`` bit for bit and falls
-back to it when scipy's private entry points are unavailable), so both
-strategies choose identical fits.  The solvers are wrapped in the engine
+back to it when scipy's private entry points are unavailable), so a grid
+cell and a ``fit_kernel`` call choose identical fits.  The solvers are
+wrapped in the engine
 profiler's ``design_solve`` / ``nonlinear_solve`` stages (see
 :mod:`repro.engine.profiling`).
 """
@@ -47,12 +48,12 @@ from .kernels import Kernel
 
 __all__ = ["FittedFunction", "fit_kernel", "fit_all_starts"]
 
-# SciPy's Levenberg-Marquardt backend (MINPACK ``lmdif``) is not reentrant:
-# concurrent calls interfere and return slightly different (timing-dependent)
-# solutions, which would break the engine's bit-identical serial≡threads
-# contract.  LM solves therefore take this lock; the trust-region path and the
+# SciPy's Levenberg-Marquardt backend (MINPACK) is not reentrant: concurrent
+# calls interfere and return slightly different (timing-dependent) solutions.
+# A served predict batch and a served campaign can fit on two threads of one
+# process at once, so LM solves take this lock; the trust-region path and the
 # linear least-squares short-circuit are reproducible under concurrency and
-# run unlocked, so the thread backend still overlaps them with LM solves.
+# run unlocked.
 _LM_LOCK = threading.Lock()
 
 #: Relative margin below which two candidate scores are treated as tied and
@@ -320,7 +321,12 @@ def fit_kernel(
 
     def compute() -> FittedFunction | None:
         best: FittedFunction | None = None
-        for candidate in _multi_start_fits(kernel, x, y, max_nfev=max_nfev, design=design):
+        # Diverging starts hit poles and overflow; the residuals map
+        # non-finite values to 1e6 by design, so numpy's warnings report
+        # nothing wrong.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fits = _multi_start_fits(kernel, x, y, max_nfev=max_nfev, design=design)
+        for candidate in fits:
             if best is None or candidate.train_rmse < best.train_rmse * (1.0 - SCORE_TIE_REL):
                 best = candidate
         return best

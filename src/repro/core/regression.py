@@ -24,14 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.cache import EXTRAPOLATION_CACHE, extrapolation_key
-from repro.engine.executor import fit_pool_for_config
-from repro.engine.profiling import PROFILER
 
 from . import fastfit
 from .config import EstimaConfig
-from .fitting import SCORE_TIE_REL, FittedFunction, _linear_design, fit_kernel
+from .fitting import SCORE_TIE_REL, FittedFunction
 from .kernels import Kernel
-from .metrics import rmse
 
 __all__ = ["CandidateFit", "ExtrapolationResult", "extrapolate_series", "candidate_fits"]
 
@@ -91,7 +88,7 @@ def _split_checkpoints(
 
 @dataclass(frozen=True)
 class _Sweep:
-    """Precomputed inputs of one prefix sweep, shared by both strategies."""
+    """Precomputed inputs of one prefix sweep."""
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -141,101 +138,29 @@ def _prepare_sweep(
     )
 
 
-def _grid_fits(sweep: _Sweep, config: EstimaConfig) -> list[FittedFunction | None]:
-    """Fit the whole grid with the configured strategy, in grid order.
-
-    The vectorized engine batches the sweep (:mod:`repro.core.fastfit`).
-    When a ``threads`` fit pool is active it still fans out — one task per
-    kernel column (each a batched all-prefix fit), recomposed into grid
-    order — so fit-level parallelism composes with vectorization instead of
-    being silently dropped.  The serial reference path fits cell by cell —
-    the (prefix, kernel) grid is embarrassingly parallel and numpy/scipy-bound
-    (the solvers release the GIL), so a threads backend fans it out over the
-    fit pool; fits come back in grid order either way, so the surviving
-    candidate list — and therefore the chosen fit — is identical everywhere.
-    """
-    train_x, train_y = sweep.train_x, sweep.train_y
-    if fastfit.resolve_fit_strategy(config) == "vectorized":
-        pool = fit_pool_for_config(config)
-        kernels = list(config.kernels)
-        if pool is None or len(kernels) <= 1:
-            return fastfit.fit_grid(kernels, train_x, train_y, sweep.prefixes)
-        columns = pool.map(
-            lambda kernel: fastfit.fit_grid([kernel], train_x, train_y, sweep.prefixes),
-            kernels,
-        )
-        return [
-            columns[k][p]
-            for p in range(len(sweep.prefixes))
-            for k in range(len(kernels))
-        ]
-
-    # Satellite of the vectorized engine, applied to the reference path too:
-    # the design matrix of prefix p is the first p rows of the full-series
-    # matrix, so build it once per linear kernel and slice per prefix.
-    designs = {kernel.name: _linear_design(kernel.name, train_x) for kernel in config.kernels}
-
-    def fit_one(task: tuple[int, Kernel]) -> FittedFunction | None:
-        prefix, kernel = task
-        design = designs[kernel.name]
-        return fit_kernel(
-            kernel,
-            train_x[:prefix],
-            train_y[:prefix],
-            design=None if design is None else design[:prefix],
-        )
-
-    pool = fit_pool_for_config(config)
-    if pool is None:
-        return [fit_one(task) for task in sweep.grid]
-    return pool.map(fit_one, sweep.grid)
-
-
 def _screen_fits(
     sweep: _Sweep,
     fitted_grid: list[FittedFunction | None],
-    config: EstimaConfig,
     *,
     allow_negative: bool,
 ) -> list[CandidateFit]:
     """Realism-screen and checkpoint-score a fitted grid (Section 3.1.2)."""
-    if fastfit.resolve_fit_strategy(config) == "vectorized":
-        survivors = fastfit.screen_candidates(
-            fitted_grid,
-            sweep.eval_range,
-            sweep.check_x,
-            sweep.check_y,
-            allow_negative=allow_negative,
-            max_factor=sweep.scale_bound,
+    survivors = fastfit.screen_candidates(
+        fitted_grid,
+        sweep.eval_range,
+        sweep.check_x,
+        sweep.check_y,
+        allow_negative=allow_negative,
+        max_factor=sweep.scale_bound,
+    )
+    return [
+        CandidateFit(
+            fitted=fitted_grid[index],
+            prefix_length=sweep.grid[index][0],
+            checkpoint_rmse=score,
         )
-        return [
-            CandidateFit(
-                fitted=fitted_grid[index],
-                prefix_length=sweep.grid[index][0],
-                checkpoint_rmse=score,
-            )
-            for index, score in survivors
-        ]
-
-    results: list[CandidateFit] = []
-    for (prefix, _kernel), fitted in zip(sweep.grid, fitted_grid):
-        if fitted is None:
-            continue
-        with PROFILER.stage("realism_screen"):
-            realistic = fitted.is_realistic(
-                sweep.eval_range, allow_negative=allow_negative, max_factor=sweep.scale_bound
-            )
-        if not realistic:
-            continue
-        with PROFILER.stage("checkpoint_score"):
-            predicted = fitted(sweep.check_x)
-            score = rmse(predicted, sweep.check_y) if np.all(np.isfinite(predicted)) else np.nan
-        if not np.isfinite(score):
-            continue
-        results.append(
-            CandidateFit(fitted=fitted, prefix_length=prefix, checkpoint_rmse=score)
-        )
-    return results
+        for index, score in survivors
+    ]
 
 
 def candidate_fits(
@@ -254,8 +179,10 @@ def candidate_fits(
     x = np.asarray(cores, dtype=float)
     y = np.asarray(values, dtype=float)
     sweep = _prepare_sweep(x, y, config, target_cores)
-    fitted_grid = _grid_fits(sweep, config)
-    results = _screen_fits(sweep, fitted_grid, config, allow_negative=allow_negative)
+    fitted_grid = fastfit.fit_grid(
+        list(config.kernels), sweep.train_x, sweep.train_y, sweep.prefixes
+    )
+    results = _screen_fits(sweep, fitted_grid, allow_negative=allow_negative)
     return results, sweep.checkpoint_cores
 
 
@@ -308,28 +235,18 @@ def _extrapolate_series_impl(
     category: str,
     allow_negative: bool,
 ) -> ExtrapolationResult:
-    if fastfit.resolve_fit_strategy(config) == "vectorized":
-        # The vectorized engine fits the grid once and screens it twice when
-        # the allow_negative fallback triggers: fits are deterministic, so
-        # re-screening the same grid yields exactly what refitting would.
-        sweep = _prepare_sweep(x, y, config, target_cores)
-        fitted_grid = _grid_fits(sweep, config)
-        checkpoint_cores = sweep.checkpoint_cores
-        candidates = _screen_fits(sweep, fitted_grid, config, allow_negative=allow_negative)
-        if not candidates and not allow_negative:
-            candidates = _screen_fits(sweep, fitted_grid, config, allow_negative=True)
-    else:
-        candidates, checkpoint_cores = candidate_fits(
-            x, y, config, target_cores=target_cores, allow_negative=allow_negative
-        )
-        if not candidates and not allow_negative:
-            # Steeply decreasing series can drive every kernel negative
-            # somewhere on the extrapolation range.  Rather than fail the
-            # whole prediction, fall back to the unconstrained fits —
-            # ``predict`` clamps the final values at zero anyway.
-            candidates, checkpoint_cores = candidate_fits(
-                x, y, config, target_cores=target_cores, allow_negative=True
-            )
+    # Steeply decreasing series can drive every kernel negative somewhere on
+    # the extrapolation range.  Rather than fail the whole prediction, fall
+    # back to the unconstrained fits — ``predict`` clamps the final values at
+    # zero anyway.  Fits are deterministic, so re-screening the same grid
+    # yields exactly what refitting would.
+    sweep = _prepare_sweep(x, y, config, target_cores)
+    fitted_grid = fastfit.fit_grid(
+        list(config.kernels), sweep.train_x, sweep.train_y, sweep.prefixes
+    )
+    candidates = _screen_fits(sweep, fitted_grid, allow_negative=allow_negative)
+    if not candidates and not allow_negative:
+        candidates = _screen_fits(sweep, fitted_grid, allow_negative=True)
     if not candidates:
         raise RuntimeError(
             f"no realistic kernel fit found for category {category!r} "
@@ -348,5 +265,5 @@ def _extrapolate_series_impl(
         values=y.copy(),
         chosen=chosen,
         candidates=tuple(sorted(candidates, key=lambda c: c.checkpoint_rmse)),
-        checkpoint_cores=checkpoint_cores,
+        checkpoint_cores=sweep.checkpoint_cores,
     )

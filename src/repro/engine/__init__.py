@@ -5,8 +5,8 @@ The engine layer sits between :mod:`repro.core` (the numerics) and
 pieces:
 
 * :mod:`repro.engine.executor` — pluggable :class:`Executor` backends
-  (``serial`` / ``parallel``) that map independent experiment and fit tasks
-  with deterministic result ordering;
+  (``serial`` / ``parallel``) that map independent experiment and campaign
+  tasks with deterministic result ordering;
 * :mod:`repro.engine.cache` — content-addressed memoization of
   ``fit_kernel`` / ``extrapolate_series`` / prediction results with hit/miss
   statistics;
@@ -54,10 +54,7 @@ from .executor import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    active_fit_pool,
     executor_for_config,
-    fit_pool_for_config,
     get_executor,
     parse_executor_spec,
 )
@@ -76,9 +73,7 @@ __all__ = [
     "PredictionServer",
     "PredictionService",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkerPool",
-    "active_fit_pool",
     "attach_disk_tier",
     "cache_stats",
     "caches_enabled",
@@ -86,7 +81,6 @@ __all__ = [
     "default_cache_dir",
     "detach_disk_tier",
     "executor_for_config",
-    "fit_pool_for_config",
     "get_cache",
     "get_executor",
     "parse_executor_spec",

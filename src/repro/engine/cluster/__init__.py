@@ -10,13 +10,10 @@ math:
   nodes, keyed on the same blake2b digests the cache tiers use.  Placement
   is deterministic and pinned by tests; adding or removing a backend moves
   only the keys adjacent to its virtual nodes.
-* :mod:`repro.engine.cluster.remote` — :class:`RemoteExecutor`, an
-  :class:`~repro.engine.executor.Executor` backend that ships registered
-  campaign tasks to downstream ``estima serve`` NDJSON hosts
-  (``ESTIMA_EXECUTOR=remote:<host:port,...>``), plus the
-  :class:`BackendPool` client machinery (persistent connections, bounded
-  retries with exponential backoff, per-host health, ring failover) the
-  router shares.
+* :mod:`repro.engine.cluster.remote` — the :class:`BackendPool` client
+  machinery the router uses to reach downstream ``estima serve`` NDJSON
+  hosts: persistent connections, bounded retries with exponential backoff,
+  per-host health and ring failover.
 * :mod:`repro.engine.cluster.router` — ``estima route``: an HTTP front-end
   speaking the gateway's exact protocol that shards predict/batch/campaign
   requests across backends by digest and merges streamed campaign rows back
@@ -27,7 +24,7 @@ math:
   ring-filtered to one shard's slice.
 
 Import discipline: :mod:`ring` and :mod:`remote` depend only on the leaf
-engine modules (``cache``, ``executor``, ``pool``, ``store``), so
+engine modules (``cache``, ``pool``, ``store``), so
 ``EstimaConfig`` validation may import them without cycles; :mod:`router`
 depends on the server/gateway stack and is imported lazily here.
 """
@@ -37,7 +34,6 @@ from __future__ import annotations
 from .archive import export_store, import_archive
 from .remote import (
     BackendPool,
-    RemoteExecutor,
     RemoteRequestError,
     RemoteUnavailableError,
     parse_backends,
@@ -47,7 +43,6 @@ from .ring import HashRing
 __all__ = [
     "BackendPool",
     "HashRing",
-    "RemoteExecutor",
     "RemoteRequestError",
     "RemoteUnavailableError",
     "Router",

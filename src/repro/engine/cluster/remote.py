@@ -1,6 +1,6 @@
-"""Remote execution backend: ship registered tasks to ``estima serve`` hosts.
+"""Cluster client: talk NDJSON to downstream ``estima serve`` hosts.
 
-Three pieces, stacked:
+Two pieces, stacked:
 
 * :class:`RemoteClient` — a synchronous NDJSON client for one backend host:
   persistent connections (a small free-list, one connection per in-flight
@@ -8,26 +8,17 @@ Three pieces, stacked:
   clean split between *transport* errors (retryable:
   :class:`RemoteUnavailableError`) and *server-reported* errors (not
   retryable: :class:`RemoteRequestError`).
-* :class:`BackendPool` — the cluster-facing client the router shares: a
+* :class:`BackendPool` — the cluster-facing client of the router
+  (:mod:`repro.engine.cluster.router`): a
   :class:`~repro.engine.cluster.ring.HashRing` over the backends, bounded
   per-host retries with exponential backoff, per-host health tracking
   (consecutive transport failures mark a host down; the next success marks
-  it up; down hosts are tried last, never never), failover to the next ring
+  it up; down hosts are tried last, never skipped), failover to the next ring
   node, and per-host request/retry/failover counters for ``/metrics``.
-* :class:`RemoteExecutor` — just another
-  :class:`~repro.engine.executor.Executor` backend, selected via
-  ``ESTIMA_EXECUTOR=remote:<host:port[,host:port...]>`` or
-  ``EstimaConfig(executor="remote:...")``.  Arbitrary callables cannot
-  cross the wire, so task functions opt in through
-  :func:`register_remote_op`, which maps a function to a request builder, a
-  response decoder and a shard key; unregistered functions (and tasks whose
-  builder declines) run locally, and any task whose backends are exhausted
-  falls back to local serial execution — results are bit-identical either
-  way (the serving contract), only placement differs.
 
-This module depends only on the leaf engine modules (``executor``, ``pool``,
-``cache`` via the ring) so ``EstimaConfig`` construction can validate
-``remote:...`` specs and ``ESTIMA_ROUTE_BACKENDS`` without import cycles.
+This module depends only on the leaf engine modules (``pool``, ``cache`` via
+the ring) so ``EstimaConfig`` construction can validate
+``ESTIMA_ROUTE_BACKENDS`` without import cycles.
 """
 
 from __future__ import annotations
@@ -37,12 +28,9 @@ import os
 import socket
 import threading
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.engine.executor import Executor
 from repro.engine.pool import parse_tcp_address
 from repro.testing.syncpoints import sync_point
 
@@ -59,11 +47,6 @@ __all__ = [
     "RemoteRequestError",
     "RemoteClient",
     "BackendPool",
-    "RemoteOp",
-    "register_remote_op",
-    "remote_op_for",
-    "RemoteExecutor",
-    "remote_executor_from_spec",
     "parse_backends",
     "parse_remote_timeout",
     "parse_remote_retries",
@@ -99,8 +82,8 @@ def parse_backends(spec: object) -> tuple[str, ...]:
     Returns the normalised ``("host:port", ...)`` tuple.  Raises a clear
     ``ValueError`` for an empty list, a malformed address or a duplicate
     backend — consumed by ``EstimaConfig`` (``route_backends``,
-    ``ESTIMA_ROUTE_BACKENDS``) and ``ESTIMA_EXECUTOR=remote:...``
-    validation, so bad values fail at construction, not mid-request.
+    ``ESTIMA_ROUTE_BACKENDS``) validation, so bad values fail at
+    construction, not mid-request.
     """
     entries = [entry.strip() for entry in str(spec).split(",") if entry.strip()]
     if not entries:
@@ -215,8 +198,8 @@ class RemoteClient:
     its whole exchange (a streamed campaign's response lines are contiguous
     per request only on a connection it does not share) and returns it on
     clean completion; a connection that saw a transport error is closed, not
-    recycled.  Thread-safe — the :class:`RemoteExecutor` fans requests out
-    over a thread pool.
+    recycled.  Thread-safe — the router fans requests out over a thread
+    pool.
     """
 
     def __init__(self, address: str, *, timeout: float = DEFAULT_REMOTE_TIMEOUT) -> None:
@@ -367,8 +350,7 @@ class BackendPool:
     try.  Raises :class:`RemoteUnavailableError` only when every backend is
     exhausted; :class:`RemoteRequestError` (the backend answered with an
     error document) propagates immediately, as every replica would answer
-    the same.  Thread-safe; shared by :class:`RemoteExecutor` and the
-    router.
+    the same.  Thread-safe; the router shares one across its I/O threads.
     """
 
     def __init__(
@@ -502,172 +484,3 @@ class BackendPool:
     def close(self) -> None:
         for client in self._clients.values():
             client.close()
-
-
-# --------------------------------------------------------------------------- #
-# Remote-op registry
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class RemoteOp:
-    """How one task function travels over the serve protocol.
-
-    ``build_request(item)`` returns the NDJSON request document for one task
-    payload — or ``None`` when this particular task cannot be expressed on
-    the wire (it then runs locally, preserving bit-identity).
-    ``decode_response(documents)`` rebuilds the function's return value from
-    the exchange's response documents, raising :class:`RemoteRequestError`
-    on error documents.  ``shard_key(item)`` is the content digest routing
-    the task (same inputs -> same backend -> hot shard caches).
-    """
-
-    build_request: Callable[[Any], "Mapping[str, Any] | None"]
-    decode_response: Callable[[list[dict[str, Any]]], Any]
-    shard_key: Callable[[Any], str]
-
-
-_REMOTE_OPS: dict[Callable[..., Any], RemoteOp] = {}
-
-
-def register_remote_op(
-    fn: Callable[..., Any],
-    *,
-    build_request: Callable[[Any], "Mapping[str, Any] | None"],
-    decode_response: Callable[[list[dict[str, Any]]], Any],
-    shard_key: Callable[[Any], str],
-) -> None:
-    """Declare a module-level task function offloadable to remote backends."""
-    _REMOTE_OPS[fn] = RemoteOp(
-        build_request=build_request, decode_response=decode_response, shard_key=shard_key
-    )
-
-
-def remote_op_for(fn: Callable[..., Any]) -> RemoteOp | None:
-    """The registered :class:`RemoteOp` of ``fn``, or ``None``."""
-    return _REMOTE_OPS.get(fn)
-
-
-# --------------------------------------------------------------------------- #
-# The Executor backend
-# --------------------------------------------------------------------------- #
-
-
-class RemoteExecutor(Executor):
-    """Map registered tasks over downstream ``estima serve`` hosts.
-
-    Selected via ``ESTIMA_EXECUTOR=remote:<host:port[,host:port...]>`` (or
-    the equivalent config/CLI spec).  Tasks whose function carries a
-    :class:`RemoteOp` registration are sharded by content digest across the
-    ring and executed by the backends; everything else — unregistered
-    functions, tasks the request builder declines, and tasks whose backends
-    are all exhausted — runs locally in-process, so results never depend on
-    cluster health (pinned bit-identical to :class:`SerialExecutor`).
-
-    ``requires_pickling`` is ``True``: like the process backend, the runner
-    layer must hand this executor module-level functions and plain-data
-    tasks, which is exactly the shape the registry can translate.
-    """
-
-    name = "remote"
-    requires_pickling = True
-
-    def __init__(
-        self,
-        backends: "Iterable[str] | str",
-        *,
-        vnodes: int = DEFAULT_VNODES,
-        timeout: "float | None" = None,
-        retries: "int | None" = None,
-    ) -> None:
-        super().__init__()
-        self.pool = BackendPool(
-            backends,
-            vnodes=vnodes,
-            timeout=timeout if timeout is not None else remote_timeout_from_env(),
-            retries=retries if retries is not None else remote_retries_from_env(),
-        )
-        self.remote_tasks = 0
-        self.local_tasks = 0
-        self.fell_back = False
-        self._dispatch_pool: ThreadPoolExecutor | None = None
-        self._dispatch_lock = threading.Lock()
-
-    def _dispatcher(self) -> ThreadPoolExecutor:
-        with self._dispatch_lock:
-            if self._dispatch_pool is None:
-                self._dispatch_pool = ThreadPoolExecutor(
-                    max_workers=min(16, 2 * len(self.pool.backends)),
-                    thread_name_prefix="estima-remote",
-                )
-            return self._dispatch_pool
-
-    def _run_one(self, fn: Callable[[Any], Any], op: "RemoteOp | None", item: Any) -> Any:
-        request = op.build_request(item) if op is not None else None
-        if request is None:
-            self.local_tasks += 1
-            return fn(item)
-        assert op is not None
-        try:
-            documents = self.pool.request(op.shard_key(item), request)
-            result = op.decode_response(documents)
-        except RemoteError as exc:
-            # Cluster trouble must never change results: recompute locally.
-            self.fell_back = True
-            self.local_tasks += 1
-            warnings.warn(
-                f"RemoteExecutor falling back to local execution ({exc})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return fn(item)
-        self.remote_tasks += 1
-        return result
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        tasks = list(items)
-        self._count(len(tasks))
-        op = remote_op_for(fn)
-        if op is None or len(tasks) <= 1:
-            return [self._run_one(fn, op, item) for item in tasks]
-        # Dispatcher map preserves input order even when backends finish out
-        # of order, which keeps campaign rows deterministic.
-        return list(
-            self._dispatcher().map(lambda item: self._run_one(fn, op, item), tasks)
-        )
-
-    def imap(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> Iterator[Any]:
-        tasks = list(items)
-        self._count(len(tasks))
-        op = remote_op_for(fn)
-        if op is None or len(tasks) <= 1:
-            for item in tasks:
-                yield self._run_one(fn, op, item)
-            return
-        yield from self._dispatcher().map(
-            lambda item: self._run_one(fn, op, item), tasks
-        )
-
-    def stats(self) -> dict[str, object]:
-        stats = super().stats()
-        stats["remote_tasks"] = self.remote_tasks
-        stats["local_tasks"] = self.local_tasks
-        stats["fell_back"] = self.fell_back
-        stats["cluster"] = self.pool.stats()
-        return stats
-
-    def close(self) -> None:
-        with self._dispatch_lock:
-            if self._dispatch_pool is not None:
-                self._dispatch_pool.shutdown(wait=True)
-                self._dispatch_pool = None
-        self.pool.close()
-
-
-def remote_executor_from_spec(spec: str) -> RemoteExecutor:
-    """Build a :class:`RemoteExecutor` from a ``remote:<hosts>`` spec string."""
-    text = str(spec).strip()
-    head, sep, suffix = text.partition(":")
-    if head.strip().lower() != "remote" or not sep:
-        raise ValueError(f"not a remote executor spec: {spec!r}")
-    return RemoteExecutor(parse_backends(suffix))

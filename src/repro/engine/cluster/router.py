@@ -160,9 +160,9 @@ class Router:
         ) or None
         self._requests_by_route: dict[str, int] = {}
         self._responses_by_status: dict[str, int] = {}
-        # Blocking pool.request calls run here, off the event loop.  Sized
-        # like the RemoteExecutor's dispatcher: enough to keep every backend
-        # busy, bounded so a huge campaign cannot spawn unbounded threads.
+        # Blocking pool.request calls run here, off the event loop: two
+        # threads per backend keep every backend busy, and the bound stops a
+        # huge campaign from spawning unbounded threads.
         self._io_pool = ThreadPoolExecutor(
             max_workers=min(16, 2 * len(self.pool.backends)),
             thread_name_prefix="estima-route",
@@ -459,9 +459,8 @@ class Router:
         """Fan one campaign out as per-workload sub-requests; merge in order.
 
         Every sub-request inherits the original request's knobs but names a
-        single workload and pins ``executor: serial`` on the backend — the
-        reference path, and a guard against recursion if a backend's own
-        environment selects the remote executor.  Sub-requests run
+        single workload and pins ``executor: serial`` on the backend — one
+        workload needs no process pool of its own.  Sub-requests run
         concurrently; rows are written in campaign (workload) order because
         each sub-exchange is buffered by the pool, so the merge is a simple
         in-order await over the launched tasks.

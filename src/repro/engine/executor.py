@@ -1,68 +1,51 @@
-"""Pluggable execution backends for experiment and fit fan-out.
+"""Pluggable execution backends for campaign and experiment fan-out.
 
-ESTIMA's pipeline is embarrassingly parallel at two levels: the workloads of a
-campaign are independent of each other, and so are the multi-start kernel fits
-inside one prediction.  An :class:`Executor` abstracts over *how* such a batch
-of independent tasks is mapped:
+The workloads of a campaign are independent of each other.  An
+:class:`Executor` abstracts over *how* such a batch of independent tasks is
+mapped:
 
 * :class:`SerialExecutor` — a plain in-process loop; the default, and the
-  reference semantics every other backend must reproduce bit-identically;
-* :class:`ThreadExecutor` — a :class:`concurrent.futures.ThreadPoolExecutor`
-  fan-out.  Kernel fitting is numpy/scipy-bound and releases the GIL, so this
-  backend parallelises at the *fit/kernel* level rather than the workload
-  level: when it is the selected backend, :mod:`repro.core.regression` maps
-  the (prefix, kernel) fit grid of every extrapolation through the shared fit
-  pool (see :func:`fit_pool_for_config`), while workloads stay serial
-  in-process and share one prediction service;
+  reference semantics the other backend must reproduce bit-identically;
 * :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
   fan-out with deterministic result ordering (results always come back in
   task-submission order, regardless of completion order).
 
-A fourth backend lives in the cluster package:
-:class:`~repro.engine.cluster.remote.RemoteExecutor`
-(``remote:<host:port,...>``) ships registered tasks to downstream ``estima
-serve`` hosts over NDJSON and is resolved here like any other spec.
-
 Backends are chosen per run via ``EstimaConfig(executor=...)``, the
-``ESTIMA_EXECUTOR`` environment variable (``serial``, ``threads[:N]``,
-``parallel[:N]`` or ``remote:<host:port,...>``), or by passing an
-:class:`Executor` instance directly to the runner layer.  Task functions and
-task payloads handed to :class:`ParallelExecutor` must be picklable
-(module-level functions and plain dataclasses); the runner layer ships
-workload *names* rather than workload objects for exactly this reason.
+``ESTIMA_EXECUTOR`` environment variable (``serial`` or ``parallel[:N]``), or
+by passing an :class:`Executor` instance directly to the runner layer.  Task
+functions and task payloads handed to :class:`ParallelExecutor` must be
+picklable (module-level functions and plain dataclasses); the runner layer
+ships workload *names* rather than workload objects for exactly this reason.
+Sharding a campaign across hosts is ``estima route``'s job
+(:mod:`repro.engine.cluster.router`).
 
-This module imports nothing from the rest of :mod:`repro` eagerly (the
-``remote`` spec lazily pulls in :mod:`repro.engine.cluster.remote`, itself a
-leaf-only importer), so any layer can use it without cycles.
+This module imports nothing from the rest of :mod:`repro`, so any layer can
+use it without cycles.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ParallelExecutor",
     "parse_executor_spec",
     "get_executor",
     "executor_for_config",
-    "fit_pool_for_config",
-    "active_fit_pool",
 ]
 
 #: Environment variable naming the default backend (``serial`` when unset).
 ENV_EXECUTOR = "ESTIMA_EXECUTOR"
 
 #: Backend names accepted by :func:`parse_executor_spec`.
-EXECUTOR_NAMES = ("serial", "threads", "parallel", "remote")
+EXECUTOR_NAMES = ("serial", "parallel")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -133,61 +116,6 @@ class SerialExecutor(Executor):
         self._count(len(tasks))
         for item in tasks:
             yield fn(item)
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool fan-out for GIL-releasing (numpy/scipy-bound) tasks.
-
-    The pool is created lazily and reused across :meth:`map` calls, so the
-    many small fit batches of one prediction do not pay thread start-up each
-    time; :meth:`close` shuts it down.  Results come back in submission
-    order.  ``max_workers=0`` (the default) sizes the pool to the machine's
-    CPU count.
-    """
-
-    name = "threads"
-    requires_pickling = False
-
-    def __init__(self, max_workers: int = 0) -> None:
-        super().__init__()
-        if max_workers < 0:
-            raise ValueError("max_workers must be >= 0 (0 = auto)")
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="estima-fit"
-                )
-            return self._pool
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        tasks = list(items)
-        self._count(len(tasks))
-        if len(tasks) <= 1:
-            return [fn(item) for item in tasks]
-        # Executor.map preserves input order even when tasks finish out of
-        # order, which keeps fit candidate lists (and campaign rows)
-        # deterministic.
-        return list(self._ensure_pool().map(fn, tasks))
-
-    def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
-        tasks = list(items)
-        self._count(len(tasks))
-        if len(tasks) <= 1:
-            for item in tasks:
-                yield fn(item)
-            return
-        yield from self._ensure_pool().map(fn, tasks)
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
 
 class ParallelExecutor(Executor):
@@ -272,39 +200,18 @@ class ParallelExecutor(Executor):
 
 
 def parse_executor_spec(spec: str) -> tuple[str, int | None]:
-    """Parse ``"serial"`` / ``"threads[:N]"`` / ``"parallel[:N]"`` /
-    ``"remote:<host:port,...>"`` strictly.
+    """Parse ``"serial"`` / ``"parallel[:N]"`` strictly.
 
     Returns ``(backend, workers)`` where ``workers`` is ``None`` when no
-    ``:<n>`` suffix was given (always ``None`` for ``remote``, whose suffix
-    is a backend host list, validated here, not a worker count).  Raises a
-    clear ``ValueError`` for unknown backends, non-integer suffixes and
-    suffixes on the serial backend — the validation both
-    :func:`get_executor` and ``EstimaConfig`` construction rely on, so a
-    malformed ``ESTIMA_EXECUTOR`` fails fast instead of deep inside the
-    engine.
+    ``:<n>`` suffix was given.  Raises a clear ``ValueError`` for unknown
+    backends, non-integer suffixes and suffixes on the serial backend — the
+    validation both :func:`get_executor` and ``EstimaConfig`` construction
+    rely on, so a malformed ``ESTIMA_EXECUTOR`` fails fast instead of deep
+    inside the engine.
     """
-    head, head_sep, rest = str(spec).strip().partition(":")
-    if head.strip().lower() == "remote":
-        # The suffix is a host list (it contains colons itself), so the
-        # lowercase/worker-count path below must not touch it.
-        if not head_sep or not rest.strip():
-            raise ValueError(
-                f"executor 'remote' needs a backend list, e.g. 'remote:host:7070', got {spec!r}"
-            )
-        # Validate the host list here (cluster imports only leaf modules, so
-        # this lazy import cannot cycle); the spec string stays the source of
-        # truth and get_executor re-parses it.
-        from .cluster.remote import parse_backends
-
-        parse_backends(rest)
-        return "remote", None
-    name, sep, suffix = spec.strip().lower().partition(":")
+    name, sep, suffix = str(spec).strip().lower().partition(":")
     if name not in EXECUTOR_NAMES:
-        raise ValueError(
-            f"unknown executor {spec!r}; expected 'serial', 'threads[:N]', "
-            "'parallel[:N]' or 'remote:<host:port,...>'"
-        )
+        raise ValueError(f"unknown executor {spec!r}; expected 'serial' or 'parallel[:N]'")
     if not sep:
         return name, None
     if name == "serial":
@@ -324,25 +231,17 @@ def get_executor(
     """Resolve an executor from an instance, a backend name, or the environment.
 
     ``spec`` may be an :class:`Executor` (returned as-is), a name —
-    ``"serial"``, ``"threads[:N]"``, ``"parallel[:N]"`` or
-    ``"remote:<host:port,...>"`` — or ``None``, in which case the
+    ``"serial"`` or ``"parallel[:N]"`` — or ``None``, in which case the
     ``ESTIMA_EXECUTOR`` environment variable decides (default ``serial``).
-    ``max_workers`` applies to the pool backends and is overridden by an
+    ``max_workers`` applies to the process pool and is overridden by an
     explicit ``:<n>`` suffix.
     """
     if isinstance(spec, Executor):
         return spec
-    text = spec or os.environ.get(ENV_EXECUTOR) or "serial"
-    name, suffix_workers = parse_executor_spec(text)
-    if name == "remote":
-        from .cluster.remote import remote_executor_from_spec
-
-        return remote_executor_from_spec(text)
-    workers = suffix_workers if suffix_workers is not None else max_workers
+    name, suffix_workers = parse_executor_spec(spec or os.environ.get(ENV_EXECUTOR) or "serial")
     if name == "serial":
         return SerialExecutor()
-    if name == "threads":
-        return ThreadExecutor(max_workers=workers)
+    workers = suffix_workers if suffix_workers is not None else max_workers
     return ParallelExecutor(max_workers=workers)
 
 
@@ -363,76 +262,3 @@ def executor_for_config(config: object, override: "Executor | str | None" = None
     if spec in (None, "serial"):
         spec = None  # fall through to ESTIMA_EXECUTOR, default serial
     return get_executor(spec, max_workers=workers)
-
-
-# --------------------------------------------------------------------------- #
-# Fit-level thread pool
-# --------------------------------------------------------------------------- #
-
-_FIT_POOL: ThreadExecutor | None = None
-_FIT_POOL_LOCK = threading.Lock()
-_ACTIVE_FIT_POOL = threading.local()
-
-
-def _shared_fit_pool(max_workers: int) -> ThreadExecutor:
-    """The process-global thread pool used for fit-level fan-out.
-
-    One shared pool (first creation fixes its size) instead of a pool per
-    extrapolation call: predictions issue many small fit batches and must not
-    pay pool start-up per batch, and a single bounded pool caps total thread
-    count no matter how many predictions run concurrently.
-    """
-    global _FIT_POOL
-    with _FIT_POOL_LOCK:
-        if _FIT_POOL is None:
-            _FIT_POOL = ThreadExecutor(max_workers=max_workers)
-        return _FIT_POOL
-
-
-class active_fit_pool:
-    """Context manager pinning the fit pool for the current thread.
-
-    The runner layer uses this to route kernel fits through an explicitly
-    constructed :class:`ThreadExecutor` (e.g. the campaign backend) without
-    touching the config: ``with active_fit_pool(executor): ...``.
-    """
-
-    def __init__(self, pool: ThreadExecutor | None) -> None:
-        self.pool = pool
-        self._token: object = None
-
-    def __enter__(self) -> "active_fit_pool":
-        self._token = getattr(_ACTIVE_FIT_POOL, "pool", None)
-        _ACTIVE_FIT_POOL.pool = self.pool
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _ACTIVE_FIT_POOL.pool = self._token
-
-
-def fit_pool_for_config(config: object) -> ThreadExecutor | None:
-    """The thread pool kernel fits should fan out over, or ``None`` for serial.
-
-    Consulted by :func:`repro.core.regression.candidate_fits`.  Resolution:
-    an :class:`active_fit_pool` context pinned by the runner layer wins;
-    otherwise a ``threads[:N]`` backend named by ``config.executor`` or (when
-    the config is at its serial default) ``ESTIMA_EXECUTOR`` selects the
-    shared process-global pool.  Process and serial backends return ``None``
-    — their parallelism (if any) lives at the workload level.
-    """
-    pinned = getattr(_ACTIVE_FIT_POOL, "pool", None)
-    if pinned is not None:
-        return pinned
-    spec = getattr(config, "executor", None)
-    if spec in (None, "serial"):
-        spec = os.environ.get(ENV_EXECUTOR) or "serial"
-    try:
-        name, suffix_workers = parse_executor_spec(spec)
-    except ValueError:
-        return None  # strict validation happens at config construction
-    if name != "threads":
-        return None
-    workers = suffix_workers if suffix_workers is not None else int(
-        getattr(config, "max_workers", 0) or 0
-    )
-    return _shared_fit_pool(workers)

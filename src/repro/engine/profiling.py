@@ -1,4 +1,4 @@
-"""Named wall/CPU timers and call counters for the fit engine's hot path.
+"""Named wall/CPU stage timers for the fit engine's hot path.
 
 ROADMAP item 3 ("vectorize the fit grid itself") follows the paper's
 measure-first discipline: before restructuring the prefix-sweep hot path we
@@ -9,12 +9,10 @@ tiny, dependency-free profiler the numerical layers wrap around their stages:
 * ``design_solve`` — direct least-squares solves of the linear-in-parameters
   kernels (``CubicLn``/``Poly25``);
 * ``nonlinear_solve`` — iterative LM/TRF solves of the rational/exponential
-  kernels, one call per (prefix, kernel, start) under either fit strategy
-  (the dominant cost of a cold campaign);
+  kernels, one call per (prefix, kernel, start) (the dominant cost of a cold
+  campaign);
 * ``realism_screen`` / ``checkpoint_score`` — the Section-3.1.2 candidate
   screening and checkpoint-RMSE scoring.
-
-Counters (``PROFILER.count``) record event totals with no time attached.
 
 The global :data:`PROFILER` accumulates monotonically for the process, like
 the cache counters in :mod:`repro.engine.cache`.  Snapshots are plain nested
@@ -39,7 +37,7 @@ __all__ = ["Profiler", "PROFILER", "profile_delta"]
 
 
 class Profiler:
-    """Thread-safe accumulator of named stage timings and event counters.
+    """Thread-safe accumulator of named stage timings.
 
     Each stage accumulates three monotone totals: ``calls`` (times entered),
     ``wall_s`` (elapsed wall-clock seconds, :func:`time.perf_counter`) and
@@ -60,20 +58,13 @@ class Profiler:
         try:
             yield
         finally:
-            self._add(name, 1, time.perf_counter() - wall0, time.thread_time() - cpu0)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Record ``n`` occurrences of an event with no time attached."""
-        self._add(name, n, 0.0, 0.0)
-
-    def _add(self, name: str, calls: int, wall_s: float, cpu_s: float) -> None:
-        with self._lock:
-            entry = self._stages.get(name)
-            if entry is None:
-                entry = self._stages[name] = [0, 0.0, 0.0]
-            entry[0] += calls
-            entry[1] += wall_s
-            entry[2] += cpu_s
+            wall_s = time.perf_counter() - wall0
+            cpu_s = time.thread_time() - cpu0
+            with self._lock:
+                entry = self._stages.setdefault(name, [0, 0.0, 0.0])
+                entry[0] += 1
+                entry[1] += wall_s
+                entry[2] += cpu_s
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Numeric-only copy of every stage: ``{name: {calls, wall_s, cpu_s}}``.

@@ -30,7 +30,7 @@ campaign request (a Table-4 style run, streamed row by row)::
      "targets": {"half": 16, "full": 20},                  # label -> cores
      "workloads": ["genome", "blackscholes"],              # default: Table 4
      "core_counts": [1, 2, 4, 8, 16, 20],                  # optional sweep
-     "executor": "threads:4",                              # optional backend
+     "executor": "parallel:2",                             # optional backend
      "config": {...}}                                      # numeric knobs
 
 campaign responses — one line per finished (workload x targets) row, in

@@ -17,14 +17,13 @@ identical rows by the test suite.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core import EstimaConfig
-from repro.engine.executor import Executor, ThreadExecutor, active_fit_pool, executor_for_config
+from repro.engine.executor import Executor, executor_for_config
 from repro.engine.profiling import PROFILER, profile_delta
 from repro.engine.service import PredictionRequest, PredictionService
 from repro.machine.machines import MachineSpec
@@ -170,130 +169,6 @@ def _run_campaign_task(
     return row, _stats_delta(before, service.cache_stats())
 
 
-# --------------------------------------------------------------------------- #
-# Remote offload: how one campaign task travels over the serve protocol
-# --------------------------------------------------------------------------- #
-
-
-def _campaign_task_request(task: _CampaignTask) -> "dict[str, object] | None":
-    """One task as a single-workload NDJSON campaign request, or ``None``.
-
-    ``None`` means "run this task locally": the wire protocol cannot express
-    ``include_software_stalls=False``, and a machine spec that is not (or no
-    longer matches) the registry entry of its name would be rebuilt
-    differently on the backend — bit-identity beats offload.
-    """
-    if task.include_software_stalls is not True:
-        return None
-    from repro.machine.machines import get_machine
-
-    try:
-        registered = get_machine(task.machine.name)
-    except KeyError:
-        return None
-    if registered != task.machine:
-        return None
-    config = task.config
-    request: dict[str, object] = {
-        "op": "campaign",
-        "machine": task.machine.name,
-        "measure_cores": task.measurement_cores,
-        "targets": {label: cores for label, cores in task.targets},
-        "workloads": [task.workload],
-        # Pin the backend to the serial reference path: results stay
-        # bit-identical, and a backend whose own environment selects the
-        # remote executor cannot recurse into the cluster.
-        "executor": "serial",
-        "config": {
-            "kernel_names": list(config.kernel_names),
-            "checkpoints": config.checkpoints,
-            "min_prefix": config.min_prefix,
-            "use_software_stalls": config.use_software_stalls,
-            "use_frontend_stalls": config.use_frontend_stalls,
-            "frequency_ratio": config.frequency_ratio,
-            "dataset_ratio": config.dataset_ratio,
-            "max_extrapolation_factor": config.max_extrapolation_factor,
-        },
-    }
-    if task.core_counts is not None:
-        request["core_counts"] = list(task.core_counts)
-    return request
-
-
-def _campaign_task_decode(
-    documents: "list[dict[str, object]]",
-) -> tuple[CampaignRow, dict[str, dict[str, int]]]:
-    """Rebuild ``_run_campaign_task``'s return value from the response docs."""
-    from repro.engine.cluster.remote import RemoteRequestError
-
-    final = documents[-1] if documents else {}
-    if not final.get("ok", False):
-        raise RemoteRequestError(
-            str(final.get("error", "empty backend response")),
-            error_kind=str(final.get("error_kind", "internal")),
-        )
-    rows = [doc.get("row") for doc in documents[:-1] if doc.get("row") is not None]
-    if len(rows) != 1:
-        raise RemoteRequestError(
-            f"expected exactly one campaign row, got {len(rows)}"
-        )
-    row_doc = rows[0]
-    row = CampaignRow(
-        workload=str(row_doc["workload"]),
-        max_errors_pct={k: float(v) for k, v in row_doc["max_errors_pct"].items()},
-        baseline_errors_pct={
-            k: float(v) for k, v in row_doc["baseline_errors_pct"].items()
-        },
-        behaviour_correct=bool(row_doc["behaviour_correct"]),
-    )
-    summary = final.get("summary")
-    engine = summary.get("engine", {}) if isinstance(summary, Mapping) else {}
-    caches = engine.get("caches", {}) if isinstance(engine, Mapping) else {}
-    stats: dict[str, dict[str, int]] = {}
-    if isinstance(caches, Mapping):
-        for region, counts in caches.items():
-            if isinstance(counts, Mapping):
-                stats[str(region)] = {str(k): int(v) for k, v in counts.items()}
-    return row, stats
-
-
-def _campaign_task_key(task: _CampaignTask) -> str:
-    """Content digest routing one task (same task -> same backend shard)."""
-    from repro.engine.cache import digest
-
-    config = task.config
-    return digest(
-        "campaign-task",
-        task.workload,
-        task.machine.name,
-        task.measurement_cores,
-        repr(task.targets),
-        repr(task.core_counts),
-        repr(config.kernel_names),
-        config.checkpoints,
-        config.min_prefix,
-        config.use_software_stalls,
-        config.use_frontend_stalls,
-        config.frequency_ratio,
-        config.dataset_ratio,
-        config.max_extrapolation_factor,
-    )
-
-
-def _register_campaign_remote_op() -> None:
-    from repro.engine.cluster.remote import register_remote_op
-
-    register_remote_op(
-        _run_campaign_task,
-        build_request=_campaign_task_request,
-        decode_response=_campaign_task_decode,
-        shard_key=_campaign_task_key,
-    )
-
-
-_register_campaign_remote_op()
-
-
 def _stats_delta(
     before: Mapping[str, Mapping[str, int]], after: Mapping[str, Mapping[str, int]]
 ) -> dict[str, dict[str, int]]:
@@ -366,20 +241,10 @@ class ErrorCampaign:
             for name in names
         ]
         executor = executor_for_config(self.config, self.executor)
-        fit_pool_ctx = nullcontext()
         if executor.requires_pickling:
             # Workers build their own service; tasks and results cross the
             # process boundary, the service (and its caches) do not.
             outcome_iter = executor.imap(_run_campaign_task, tasks)
-        elif isinstance(executor, ThreadExecutor):
-            # The thread backend parallelises at the fit/kernel level, not
-            # the workload level: workloads stay serial in-process (sharing
-            # one service, like the serial backend) while the regression
-            # layer fans each (prefix, kernel) fit grid out over this
-            # executor's pool.  Rows are bit-identical either way.
-            service = PredictionService(self.config)
-            fit_pool_ctx = active_fit_pool(executor)
-            outcome_iter = (_run_campaign_task(task, service) for task in tasks)
         else:
             # In-process: share one service so identical measurement sets are
             # deduplicated across workloads too, not only across targets.
@@ -391,12 +256,11 @@ class ErrorCampaign:
         rows: list[CampaignRow] = []
         cache_totals: dict[str, dict[str, int]] = {}
         profile_before = PROFILER.snapshot()
-        with fit_pool_ctx:
-            for row, stats in outcome_iter:
-                rows.append(row)
-                _merge_stats(cache_totals, stats)
-                if on_row is not None:
-                    on_row(row)
+        for row, stats in outcome_iter:
+            rows.append(row)
+            _merge_stats(cache_totals, stats)
+            if on_row is not None:
+                on_row(row)
         return CampaignResult(
             machine=self.machine.name,
             measurement_cores=self.measurement_cores,

@@ -4,8 +4,8 @@ Two threads hammer the *same* stage of one :class:`Profiler` while
 genuinely overlapping (proved via :func:`assert_parallel_execution` and a
 named barrier, not hoped-for timing).  The accumulator's contract is that
 the totals are exact under contention: ``calls`` is an integer equal to
-the sum of both writers' iterations, counters add up to the precise event
-total, and ``profile_delta`` over a bracketing snapshot pair reports
+the sum of both writers' iterations, nested stages add up to the precise
+event total, and ``profile_delta`` over a bracketing snapshot pair reports
 exactly the work done inside the bracket — no lost updates, no
 double-counts, no bleed-through from untouched stages.
 """
@@ -31,10 +31,12 @@ class TestConcurrentStageWriters:
             # the barrier trips only when both threads have entered.
             with profiler.stage("nonlinear_solve"):
                 started.wait(timeout=5)
-                profiler.count("solver_events", 3)
+                with profiler.stage("solver_events"):
+                    pass
             for _ in range(ITERATIONS - 1):
                 with profiler.stage("nonlinear_solve"):
-                    profiler.count("solver_events", 3)
+                    with profiler.stage("solver_events"):
+                        pass
 
         assert_parallel_execution(
             [writer, writer],
@@ -48,15 +50,16 @@ class TestConcurrentStageWriters:
         assert isinstance(stage["calls"], int)
         assert stage["wall_s"] >= 0.0
         assert stage["cpu_s"] >= 0.0
-        counter = delta["solver_events"]
-        assert counter["calls"] == 2 * ITERATIONS * 3
-        assert counter["wall_s"] == 0.0 and counter["cpu_s"] == 0.0
+        nested = delta["solver_events"]
+        assert nested["calls"] == 2 * ITERATIONS
+        assert nested["wall_s"] <= stage["wall_s"]
 
     def test_delta_brackets_only_the_enclosed_work(self):
         profiler = Profiler()
         with profiler.stage("design_solve"):
             pass
-        profiler.count("warmup_events", 7)
+        with profiler.stage("warmup_events"):
+            pass
 
         before = profiler.snapshot()
         done = threading.Barrier(3)
@@ -65,7 +68,8 @@ class TestConcurrentStageWriters:
             def run():
                 for _ in range(ITERATIONS):
                     with profiler.stage(stage_name):
-                        profiler.count(f"{stage_name}_events")
+                        with profiler.stage(f"{stage_name}_events"):
+                            pass
                 done.wait(timeout=5)
             return run
 

@@ -1,19 +1,21 @@
 """Tests for the vectorized fit-grid engine (:mod:`repro.core.fastfit`).
 
-The engine's contract is *bit-identity*: whatever the scalar reference path
-would choose — kernels, parameters, predicted rows — the vectorized path
-must choose too.  The tests here pin that contract at three levels: single
-solver calls (lean driver vs ``least_squares``), whole fit grids, and full
-``extrapolate_series`` results over a seeded fuzz corpus.
+The engine's contract is *bit-identity* with the scalar reference
+primitives of :mod:`repro.core.fitting`: every lean solve equals
+``_solve_start`` on the same start, every grid cell equals the
+``fit_kernel`` call on that prefix, and the batched screen keeps exactly
+the candidates (and checkpoint scores) that ``FittedFunction.is_realistic``
+plus ``rmse`` keep.  The tests here pin that contract on single solver
+calls, whole fit grids, one Table-4 workload's real traffic and a seeded
+fuzz corpus.
 
-One caveat the fuzz tests must respect: the reference solver itself is not
-perfectly reproducible across processes (BLAS/SIMD kernels can round
-differently depending on allocation alignment), and on rare perfect-fit
-series that noise flips the multi-start winner between two equally-good
-fits.  A mismatch therefore only counts against the vectorized engine when
-the serial path agrees with *itself* on that series; self-unstable series
-are skipped (and counted, so a systematically unstable environment fails
-loudly rather than silently skipping everything).
+One caveat the identity tests must respect: the reference solver itself is
+not perfectly reproducible within a process (MINPACK and LAPACK take
+alignment-dependent code paths), and on rare diverging starts it answers
+differently from call to call.  A mismatch therefore only counts against the
+lean driver when the reference agrees with *itself* on that solve;
+self-unstable solves are counted, and more than one in twenty fails loudly
+rather than silently skipping everything.
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ import pytest
 
 from repro.core import fastfit
 from repro.core.config import EstimaConfig
-from repro.core.fastfit import (
-    DEFAULT_FIT_STRATEGY,
-    ENV_FIT_STRATEGY,
-    FIT_STRATEGIES,
-    fit_grid,
-    fit_strategy_from_env,
-    parse_fit_strategy,
-    resolve_fit_strategy,
-)
+from repro.core.fastfit import fit_grid, screen_candidates
 from repro.core.fitting import (
     _linear_design,
     _norm_scale,
@@ -41,70 +35,17 @@ from repro.core.fitting import (
     fit_kernel,
 )
 from repro.core.kernels import KERNELS, get_kernel, power_table
+from repro.core.metrics import rmse
 from repro.core.regression import _prepare_sweep, extrapolate_series
-from repro.engine.cache import EXTRAPOLATION_CACHE, FIT_CACHE, caches_enabled, fit_key
+from repro.engine.cache import FIT_CACHE, caches_enabled, fit_key
 from repro.engine.profiling import PROFILER, profile_delta
 
 NONLINEAR = ("Rat22", "Rat23", "Rat33", "ExpRat")
 LINEAR = ("CubicLn", "Poly25")
 
 
-@pytest.fixture(autouse=True)
-def _no_fit_strategy_env(monkeypatch):
-    """Strategy comes from explicit config in these tests, never the host env."""
-    monkeypatch.delenv(ENV_FIT_STRATEGY, raising=False)
-
-
 # --------------------------------------------------------------------------- #
-# Strategy selection
-# --------------------------------------------------------------------------- #
-
-
-class TestStrategySelection:
-    def test_parse_accepts_known_tokens(self):
-        assert parse_fit_strategy("serial") == "serial"
-        assert parse_fit_strategy(" Vectorized ") == "vectorized"
-
-    def test_parse_rejects_unknown_tokens(self):
-        with pytest.raises(ValueError, match="fit_strategy"):
-            parse_fit_strategy("turbo")
-
-    def test_parse_names_its_source(self):
-        with pytest.raises(ValueError, match=ENV_FIT_STRATEGY):
-            parse_fit_strategy("turbo", source=ENV_FIT_STRATEGY)
-
-    def test_env_unset_or_blank_is_none(self, monkeypatch):
-        assert fit_strategy_from_env() is None
-        monkeypatch.setenv(ENV_FIT_STRATEGY, "   ")
-        assert fit_strategy_from_env() is None
-
-    def test_env_value_is_validated(self, monkeypatch):
-        monkeypatch.setenv(ENV_FIT_STRATEGY, "serial")
-        assert fit_strategy_from_env() == "serial"
-        monkeypatch.setenv(ENV_FIT_STRATEGY, "bogus")
-        with pytest.raises(ValueError, match=ENV_FIT_STRATEGY):
-            fit_strategy_from_env()
-
-    def test_resolution_precedence(self, monkeypatch):
-        assert resolve_fit_strategy(EstimaConfig()) == DEFAULT_FIT_STRATEGY
-        monkeypatch.setenv(ENV_FIT_STRATEGY, "serial")
-        assert resolve_fit_strategy(EstimaConfig()) == "serial"
-        assert resolve_fit_strategy(EstimaConfig(fit_strategy="vectorized")) == "vectorized"
-
-    def test_config_validates_field(self):
-        with pytest.raises(ValueError, match="fit_strategy"):
-            EstimaConfig(fit_strategy="bogus")
-        for strategy in FIT_STRATEGIES:
-            assert EstimaConfig(fit_strategy=strategy).fit_strategy == strategy
-
-    def test_config_validates_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_FIT_STRATEGY, "bogus")
-        with pytest.raises(ValueError, match=ENV_FIT_STRATEGY):
-            EstimaConfig()
-
-
-# --------------------------------------------------------------------------- #
-# Series validation (shared with the scalar path)
+# Series validation (shared with fit_kernel)
 # --------------------------------------------------------------------------- #
 
 
@@ -200,6 +141,44 @@ def _repeated_runs(solve, attempts=8):
     return outcomes
 
 
+def _record_grid_solves(monkeypatch):
+    """Record every solve the grid makes, with the answer it got."""
+    solves = []
+    real = fastfit._nonlinear_solve
+
+    def record(kernel, x, y_norm, guess, **kwargs):
+        solved = real(kernel, x, y_norm, guess, **kwargs)
+        solves.append((kernel, x.copy(), y_norm.copy(), guess, kwargs, solved))
+        return solved
+
+    monkeypatch.setattr(fastfit, "_nonlinear_solve", record)
+    return solves
+
+
+def _check_solves_match_reference(solves):
+    """Each recorded answer must be ``_solve_start``'s, bit for bit.
+
+    A mismatch is held against the lean driver only when the reference
+    agrees with itself on that solve; at most one solve in twenty may find
+    the reference self-unstable.
+    """
+    mismatched, unstable = [], []
+    for i, (kernel, x, y_norm, guess, kwargs, lean) in enumerate(solves):
+        with np.errstate(all="ignore"):
+            ref = _solve_start(kernel, x, y_norm, guess, **kwargs)
+            if _same(lean, ref):
+                continue
+            runs = _repeated_runs(lambda: _solve_start(kernel, x, y_norm, guess, **kwargs))
+        if any(_same(lean, run) for run in runs):
+            continue  # the reference disagreed with itself and lean is one of its answers
+        if any(not _same(ref, run) for run in runs):
+            unstable.append(i)
+            continue
+        mismatched.append((i, kernel.name, x.size, guess))
+    assert not mismatched, f"lean diverged from a self-consistent reference: {mismatched}"
+    assert len(unstable) <= len(solves) // 20, f"reference unstable on {unstable}"
+
+
 @pytest.mark.skipif(not fastfit.LEAN_CHECK.passed(), reason="lean solver self-check failed")
 class TestRealTrafficIdentity:
     """Lean vs reference on every solve of one Table-4 workload's cold grid."""
@@ -213,37 +192,14 @@ class TestRealTrafficIdentity:
         truth = MachineSimulator(get_machine("opteron48")).sweep(
             get_workload("swaptions"), core_counts=[1, 2, 3, 4, 6, 8, 10, 12]
         )
-        solves = []
-        real = fastfit._nonlinear_solve
-
-        def record(kernel, x, y_norm, guess, **kwargs):
-            solves.append((kernel, x.copy(), y_norm.copy(), guess, kwargs))
-            return real(kernel, x, y_norm, guess, **kwargs)
-
-        monkeypatch.setattr(fastfit, "_nonlinear_solve", record)
+        solves = _record_grid_solves(monkeypatch)
         with caches_enabled(False):
-            EstimaPredictor(EstimaConfig(fit_strategy="vectorized")).extrapolate_categories(
+            EstimaPredictor(EstimaConfig()).extrapolate_categories(
                 truth.restrict_to(12), target_cores=48
             )
-        assert any(kwargs["underdetermined"] for *_, kwargs in solves), "no trf cells"
-        assert any(not kwargs["underdetermined"] for *_, kwargs in solves), "no lm cells"
-
-        mismatched, unstable = [], []
-        for i, (kernel, x, y_norm, guess, kwargs) in enumerate(solves):
-            with np.errstate(all="ignore"):
-                lean = fastfit._lean_solve_start(kernel, x, y_norm, guess, **kwargs)
-                ref = _solve_start(kernel, x, y_norm, guess, **kwargs)
-                if _same(lean, ref):
-                    continue
-                runs = _repeated_runs(lambda: _solve_start(kernel, x, y_norm, guess, **kwargs))
-            if any(_same(lean, run) for run in runs):
-                continue  # the reference disagreed with itself and lean is one of its answers
-            if any(not _same(ref, run) for run in runs):
-                unstable.append(i)
-                continue
-            mismatched.append((i, kernel.name, x.size, guess))
-        assert not mismatched, f"lean diverged from a self-consistent reference: {mismatched}"
-        assert len(unstable) <= len(solves) // 20, f"reference unstable on {unstable}"
+        assert any(kwargs["underdetermined"] for *_, kwargs, _ in solves), "no trf cells"
+        assert any(not kwargs["underdetermined"] for *_, kwargs, _ in solves), "no lm cells"
+        _check_solves_match_reference(solves)
 
 
 # --------------------------------------------------------------------------- #
@@ -389,14 +345,13 @@ class TestLeanSelfCheck:
         assert fastfit.LEAN_CHECK.passed()
         assert "nonlinear_solve" not in profile_delta(before, PROFILER.snapshot())
 
-    @pytest.mark.parametrize("strategy", FIT_STRATEGIES)
-    def test_cold_extrapolation_solves_each_start_once(self, monkeypatch, strategy):
+    def test_cold_extrapolation_solves_each_start_once(self, monkeypatch):
         # A fresh gate, so the first solve (and the self-check) falls inside
         # the measured window.
         monkeypatch.setattr(fastfit, "LEAN_CHECK", fastfit._LeanCheck())
         x = np.arange(1.0, 11.0)
         y = x / (1.0 + 0.07 * x) + 0.05 * np.sin(x)
-        config = EstimaConfig(fit_strategy=strategy)
+        config = EstimaConfig()
         prefixes = _prepare_sweep(x, y, config, 32).prefixes
         starts = sum(
             len(kernel.initial_guesses)
@@ -411,74 +366,93 @@ class TestLeanSelfCheck:
 
 
 # --------------------------------------------------------------------------- #
-# Grid + extrapolation identity (the fuzz contract)
+# Grid and screen identity on a seeded corpus (the fuzz contract)
 # --------------------------------------------------------------------------- #
 
 
-def _result_signature(result):
-    return (
-        result.kernel_name,
-        result.chosen.prefix_length,
-        tuple(result.chosen.fitted.params),
-        result.predict(np.arange(1.0, 33.0)).tobytes(),
-        len(result.candidates),
-    )
+def _scalar_screen(sweep, fitted_grid, *, allow_negative):
+    """The per-candidate Section-3.1.2 screen the batched one must equal."""
+    kept = []
+    for index, fitted in enumerate(fitted_grid):
+        if fitted is None:
+            continue
+        with np.errstate(all="ignore"):
+            if not fitted.is_realistic(
+                sweep.eval_range, allow_negative=allow_negative, max_factor=sweep.scale_bound
+            ):
+                continue
+            predicted = fitted(sweep.check_x)
+            score = rmse(predicted, sweep.check_y) if np.all(np.isfinite(predicted)) else np.nan
+        if np.isfinite(score):
+            kept.append((index, score))
+    return kept
 
 
-def _extrapolate(x, y, strategy):
-    try:
-        result = extrapolate_series(
-            x, y, EstimaConfig(fit_strategy=strategy), target_cores=32
-        )
-    except RuntimeError as exc:  # no realistic fit — must agree across strategies
-        return ("unfittable", str(exc))
-    return _result_signature(result)
+def _fuzz_corpus():
+    rng = np.random.default_rng(20260808)
+    series = []
+    for _ in range(180):
+        n = int(rng.integers(4, 8))
+        x = np.sort(rng.uniform(1.0, 32.0, n)) if rng.integers(2) else np.arange(1.0, n + 1)
+        scale = 10.0 ** float(rng.uniform(-9.0, 12.0))
+        y = (np.abs(rng.normal(1.0, 1.0, n)) + 0.1) * scale
+        series.append((x, y))
+    for n in (4, 5, 6, 7):
+        x = np.arange(1.0, n + 1)
+        series.append((x, 1.0 + 0.5 * x + 0.01 * x * x))
+        series.append((x, x / (1.0 + 0.05 * x)))
+        series.append((x, 3.0 * np.log(x + 1.0) + 1.0))
+        series.append((x, 10.0 / (1.0 + np.exp(-0.5 * (x - n / 2.0)))))
+    for n in (5, 6, 7):
+        x = np.arange(1.0, n + 1)
+        series.append((x, 100.0 / x**1.5))  # steeply decreasing: negative fallback
+    for n in (5, 7):
+        series.append((np.arange(1.0, n + 1), np.full(n, 3.25)))  # flat
+    return series
 
 
 class TestSerialVectorizedFuzz:
+    """The grid engine against the serial (scalar, per-cell) reference."""
+
     def test_three_point_underdetermined_series(self):
         x = np.array([1.0, 2.0, 4.0])
         y = np.array([1.0, 1.9, 3.4])
-        assert _extrapolate(x, y, "serial") == _extrapolate(x, y, "vectorized")
+        kernels = list(EstimaConfig().kernels)
+        with caches_enabled(False):
+            grid = fit_grid(kernels, x, y, [3])
+            expected = [fit_kernel(kernel, x, y) for kernel in kernels]
+        assert any(cell is not None for cell in grid)
+        assert grid == expected
 
-    def test_seeded_fuzz_corpus_matches_serial(self):
-        rng = np.random.default_rng(20260808)
-        series = []
-        for _ in range(180):
-            n = int(rng.integers(4, 8))
-            x = np.sort(rng.uniform(1.0, 32.0, n)) if rng.integers(2) else np.arange(1.0, n + 1)
-            scale = 10.0 ** float(rng.uniform(-9.0, 12.0))
-            y = (np.abs(rng.normal(1.0, 1.0, n)) + 0.1) * scale
-            series.append((x, y))
-        for n in (4, 5, 6, 7):
-            x = np.arange(1.0, n + 1)
-            series.append((x, 1.0 + 0.5 * x + 0.01 * x * x))
-            series.append((x, x / (1.0 + 0.05 * x)))
-            series.append((x, 3.0 * np.log(x + 1.0) + 1.0))
-            series.append((x, 10.0 / (1.0 + np.exp(-0.5 * (x - n / 2.0)))))
-        for n in (5, 6, 7):
-            x = np.arange(1.0, n + 1)
-            series.append((x, 100.0 / x**1.5))  # steeply decreasing: negative fallback
-        for n in (5, 7):
-            series.append((np.arange(1.0, n + 1), np.full(n, 3.25)))  # flat
-
+    def test_seeded_fuzz_corpus_matches_serial(self, monkeypatch):
+        """Every lean solve equals ``_solve_start``; every screen the scalar one."""
+        series = _fuzz_corpus()
         assert len(series) >= 200
-        mismatched, unstable = [], []
+        config = EstimaConfig()
+        kernels = list(config.kernels)
+        solves = _record_grid_solves(monkeypatch)
+        screened = 0
         for i, (x, y) in enumerate(series):
-            vec = _extrapolate(x, y, "vectorized")
-            ser = _extrapolate(x, y, "serial")
-            if vec == ser:
-                continue
-            # Only hold the mismatch against the engine when the reference
-            # agrees with itself (see the module docstring).
-            if _extrapolate(x, y, "serial") != ser:
-                unstable.append(i)
-                continue
-            mismatched.append(i)
-        assert not mismatched, f"vectorized diverged from stable serial on {mismatched}"
-        # The reference path is expected to be stable on virtually every
-        # series; tolerate only isolated perfect-fit flips.
-        assert len(unstable) <= 2, f"serial reference unstable on {unstable}"
+            sweep = _prepare_sweep(x, y, config, 32)
+            with caches_enabled(False):
+                fitted_grid = fit_grid(kernels, sweep.train_x, sweep.train_y, sweep.prefixes)
+            for allow_negative in (False, True):
+                batched = screen_candidates(
+                    fitted_grid,
+                    sweep.eval_range,
+                    sweep.check_x,
+                    sweep.check_y,
+                    allow_negative=allow_negative,
+                    max_factor=sweep.scale_bound,
+                )
+                assert batched == _scalar_screen(
+                    sweep, fitted_grid, allow_negative=allow_negative
+                ), f"screen differs on series {i} (allow_negative={allow_negative})"
+                screened += len(batched)
+        assert screened > 0
+        assert any(kwargs["underdetermined"] for *_, kwargs, _ in solves), "no trf cells"
+        assert any(not kwargs["underdetermined"] for *_, kwargs, _ in solves), "no lm cells"
+        _check_solves_match_reference(solves)
 
 
 # --------------------------------------------------------------------------- #
@@ -487,34 +461,36 @@ class TestSerialVectorizedFuzz:
 
 
 class TestCacheInterop:
-    def _run(self, strategy):
-        x = np.arange(1.0, 9.0)
-        y = x / (1.0 + 0.08 * x)
-        return _extrapolate(x, y, strategy)
+    """The grid and the serial per-cell ``fit_kernel`` share fit-cache entries."""
+
+    X = np.arange(1.0, 9.0)
+    Y = X / (1.0 + 0.08 * X)
+    PREFIXES = [3, 4, 5, 6]
+
+    def _serial(self, kernels):
+        return [
+            fit_kernel(kernel, self.X[:p], self.Y[:p]) for p in self.PREFIXES for kernel in kernels
+        ]
 
     def test_vectorized_hits_entries_warmed_by_serial(self):
+        kernels = list(EstimaConfig().kernels)
         with caches_enabled(True):
             FIT_CACHE.clear()
-            EXTRAPOLATION_CACHE.clear()
-            first = self._run("serial")
-            # Clear the outer extrapolation memo so the second strategy
-            # reaches the fit grid instead of short-circuiting above it.
-            EXTRAPOLATION_CACHE.clear()
+            first = self._serial(kernels)
             before = FIT_CACHE.stats.hits
-            second = self._run("vectorized")
+            second = fit_grid(kernels, self.X, self.Y, self.PREFIXES)
             assert second == first
-            assert FIT_CACHE.stats.hits > before
+            assert FIT_CACHE.stats.hits - before == len(first)
 
     def test_serial_hits_entries_warmed_by_vectorized(self):
+        kernels = list(EstimaConfig().kernels)
         with caches_enabled(True):
             FIT_CACHE.clear()
-            EXTRAPOLATION_CACHE.clear()
-            first = self._run("vectorized")
-            EXTRAPOLATION_CACHE.clear()
+            first = fit_grid(kernels, self.X, self.Y, self.PREFIXES)
             before = FIT_CACHE.stats.hits
-            second = self._run("serial")
+            second = self._serial(kernels)
             assert second == first
-            assert FIT_CACHE.stats.hits > before
+            assert FIT_CACHE.stats.hits - before == len(first)
 
     def test_fit_grid_fills_per_cell_keys(self):
         x = np.arange(1.0, 7.0)
@@ -538,12 +514,11 @@ class TestCacheInterop:
 
 
 class TestGridProfiling:
-    @pytest.mark.parametrize("strategy", FIT_STRATEGIES)
-    def test_stages_recorded(self, strategy):
+    def test_stages_recorded(self):
         x = np.arange(1.0, 9.0)
         y = 2.0 + 0.4 * x
         before = PROFILER.snapshot()
-        extrapolate_series(x, y, EstimaConfig(fit_strategy=strategy), target_cores=16)
+        extrapolate_series(x, y, EstimaConfig(), target_cores=16)
         delta = profile_delta(before, PROFILER.snapshot())
         for stage in ("design_solve", "nonlinear_solve", "realism_screen", "checkpoint_score"):
-            assert delta.get(stage, {}).get("calls", 0) > 0, f"{strategy}: {stage} missing"
+            assert delta.get(stage, {}).get("calls", 0) > 0, f"{stage} missing"

@@ -75,6 +75,21 @@ class TestPredictionObject:
         assert "scaling-factor kernel" in text
 
 
+class TestColdPredictIsWarningFree:
+    def test_no_runtime_warning_under_error_filter(self, intruder_opteron_sweep):
+        """Diverging solver starts are expected; they must not warn."""
+        import warnings
+
+        from repro.engine.cache import caches_enabled
+
+        with caches_enabled(False), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prediction = EstimaPredictor().predict(
+                intruder_opteron_sweep.restrict_to(12), target_cores=48
+            )
+        assert np.all(np.isfinite(prediction.predicted_times))
+
+
 class TestPredictorValidation:
     def test_requires_enough_measurements(self, intruder_opteron_sweep):
         tiny = intruder_opteron_sweep.restrict_to(2)

@@ -5,11 +5,10 @@ Pinned contracts:
 * **placement** — the consistent-hash ring is a pure function: exact
   placements are frozen here, two instances always agree, and removing a
   node only moves the keys that node owned;
-* **determinism** — campaign rows produced through `--executor remote:...`
-  and through the `estima route` front-end are bit-identical to the serial
-  single-host reference (`estima campaign --json`), including under an
-  injected backend failure: rows appear exactly once, in order, with no
-  duplicates or drops;
+* **determinism** — campaign rows produced through the `estima route`
+  front-end are bit-identical to the serial single-host reference
+  (`estima campaign --json`), including under an injected backend failure:
+  rows appear exactly once, in order, with no duplicates or drops;
 * **failover** — the backend pool retries the key's owner with exponential
   backoff, then fails over along the ring; hosts that exhaust their budget
   are marked down and deferred, and an error *document* never triggers
@@ -41,16 +40,14 @@ from repro.engine.cluster.archive import (
 )
 from repro.engine.cluster.remote import (
     BackendPool,
-    RemoteExecutor,
     RemoteUnavailableError,
     parse_backends,
     parse_remote_retries,
     parse_remote_timeout,
-    remote_executor_from_spec,
 )
 from repro.engine.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.engine.cluster.router import Router, _canonical_key, serve_route
-from repro.engine.executor import get_executor, parse_executor_spec
+from repro.engine.executor import parse_executor_spec
 from repro.engine.gateway import flatten_stats
 from repro.engine.pool import parse_idle_timeout
 from repro.engine.server import PredictionServer, serve_tcp
@@ -300,28 +297,10 @@ class TestParsing:
                 parse_idle_timeout(bad)
 
     def test_executor_spec_remote(self):
-        assert parse_executor_spec("remote:127.0.0.1:7070") == ("remote", None)
-        assert parse_executor_spec("remote:a:1,b:2") == ("remote", None)
-        with pytest.raises(ValueError, match="backend list"):
-            parse_executor_spec("remote")
-        with pytest.raises(ValueError, match="remote"):
-            parse_executor_spec("bogus")
-        with pytest.raises(ValueError):
-            parse_executor_spec("remote:host:0")
-
-    def test_get_executor_builds_remote(self):
-        executor = get_executor("remote:127.0.0.1:7070")
-        try:
-            assert isinstance(executor, RemoteExecutor)
-            assert executor.name == "remote"
-            assert executor.requires_pickling
-            assert executor.pool.backends == ("127.0.0.1:7070",)
-        finally:
-            executor.close()
-
-    def test_remote_executor_from_spec_rejects_non_remote(self):
-        with pytest.raises(ValueError):
-            remote_executor_from_spec("serial")
+        """The ``remote:`` executor is gone; ``estima route`` shards campaigns."""
+        for spec in ("remote", "remote:127.0.0.1:7070", "remote:a:1,b:2"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                parse_executor_spec(spec)
 
     def test_config_field_validation(self):
         with pytest.raises(ValueError, match="route_backends"):
@@ -612,83 +591,8 @@ class TestIdleTimeout:
         assert gateway.stats()["http"]["requests_by_route"]["idle_timeout"] == 1
 
 
-# --------------------------------------------------------------------------- #
-# RemoteExecutor: bit-identity and local fallback
-# --------------------------------------------------------------------------- #
-
-
 def _summary_without_engine(summary: dict) -> dict:
     return {k: v for k, v in summary.items() if k != "engine"}
-
-
-def _run_campaign_cli(extra_args: list[str]) -> dict:
-    import contextlib
-    import io
-
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(
-            [
-                "campaign",
-                "--machine", "xeon20",
-                "--measure-cores", "10",
-                "--workloads", ",".join(CAMPAIGN_WORKLOADS),
-                "--core-counts", ",".join(str(c) for c in CAMPAIGN_CORE_COUNTS),
-                "--targets", "half=16,full=20",
-                "--json",
-                *extra_args,
-            ]
-        )
-    assert code == 0
-    return json.loads(stdout.getvalue())
-
-
-class TestRemoteExecutor:
-    def test_campaign_rows_bit_identical_to_serial(self, batch):
-        """Acceptance pin: offloaded campaign == serial reference, and every
-        task actually travelled to the backend."""
-        server = PredictionServer(EstimaConfig())
-        with _tcp_backend(server) as tcp:
-            address = "%s:%d" % tcp.address
-            remote = _run_campaign_cli(["--executor", f"remote:{address}"])
-        assert _summary_without_engine(remote) == _summary_without_engine(batch)
-        stats = remote["engine"]["executor_stats"]
-        assert stats["backend"] == "remote"
-        assert stats["remote_tasks"] == len(CAMPAIGN_WORKLOADS)
-        assert stats["local_tasks"] == 0
-        assert stats["fell_back"] is False
-        assert stats["cluster"]["routed_requests"] == len(CAMPAIGN_WORKLOADS)
-
-    def test_dead_backends_fall_back_locally_bit_identical(self, batch):
-        """Cluster trouble never changes results: every task recomputes
-        locally (with a warning) and rows stay bit-identical."""
-        dead = f"127.0.0.1:{_free_port()}"
-        with pytest.warns(RuntimeWarning, match="falling back to local"):
-            fallback = _run_campaign_cli(
-                ["--executor", f"remote:{dead}"]
-            )
-        assert _summary_without_engine(fallback) == _summary_without_engine(batch)
-        stats = fallback["engine"]["executor_stats"]
-        assert stats["fell_back"] is True
-        assert stats["local_tasks"] == len(CAMPAIGN_WORKLOADS)
-        assert stats["remote_tasks"] == 0
-
-    def test_unregistered_function_runs_locally_without_network(self):
-        executor = RemoteExecutor([f"127.0.0.1:{_free_port()}"], retries=0)
-        try:
-            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-            assert list(executor.imap(_double, [4])) == [8]
-            stats = executor.stats()
-            assert stats["local_tasks"] == 4
-            assert stats["remote_tasks"] == 0
-            assert stats["fell_back"] is False  # never even tried the wire
-            assert stats["cluster"]["routed_requests"] == 0
-        finally:
-            executor.close()
-
-
-def _double(x):
-    return 2 * x
 
 
 # --------------------------------------------------------------------------- #

@@ -11,10 +11,7 @@ from repro.engine.executor import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    active_fit_pool,
     executor_for_config,
-    fit_pool_for_config,
     get_executor,
     parse_executor_spec,
 )
@@ -53,10 +50,6 @@ class TestImapStreaming:
         assert seen == [3]  # item 1 was visible before items 2..n ran
         assert list(iterator) == [2, 4]
 
-    def test_thread_imap_matches_map(self):
-        with ThreadExecutor(max_workers=2) as executor:
-            assert list(executor.imap(_double, list(range(8)))) == [2 * i for i in range(8)]
-
     def test_parallel_imap_streams_in_submission_order(self):
         executor = ParallelExecutor(max_workers=2)
         assert list(executor.imap(_double, list(range(8)))) == [2 * i for i in range(8)]
@@ -94,51 +87,14 @@ class TestParallelExecutor:
         assert executor.max_workers == (os.cpu_count() or 1)
 
 
-class TestThreadExecutor:
-    def test_maps_in_submission_order(self):
-        with ThreadExecutor(max_workers=2) as executor:
-            assert executor.map(_double, list(range(16))) == [2 * i for i in range(16)]
-
-    def test_closures_are_fine(self):
-        offset = 7
-        with ThreadExecutor(max_workers=2) as executor:
-            assert executor.map(lambda x: x + offset, [1, 2, 3]) == [8, 9, 10]
-
-    def test_matches_serial_results(self):
-        items = list(range(25))
-        with ThreadExecutor(max_workers=3) as executor:
-            assert executor.map(_double, items) == SerialExecutor().map(_double, items)
-
-    def test_pool_is_reused_across_map_calls(self):
-        with ThreadExecutor(max_workers=2) as executor:
-            executor.map(_double, [1, 2, 3])
-            pool = executor._pool
-            executor.map(_double, [4, 5, 6])
-            assert executor._pool is pool
-
-    def test_counters_accumulate(self):
-        with ThreadExecutor(max_workers=2) as executor:
-            executor.map(_double, [1, 2, 3])
-            executor.map(_double, [4])
-            stats = executor.stats()
-        assert stats["tasks"] == 4
-        assert stats["batches"] == 2
-        assert stats["backend"] == "threads"
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(max_workers=-1)
-
-
 class TestParseExecutorSpec:
     def test_plain_names(self):
         assert parse_executor_spec("serial") == ("serial", None)
-        assert parse_executor_spec("threads") == ("threads", None)
         assert parse_executor_spec("parallel") == ("parallel", None)
 
     def test_worker_suffixes(self):
-        assert parse_executor_spec("threads:4") == ("threads", 4)
         assert parse_executor_spec("parallel:2") == ("parallel", 2)
+        assert parse_executor_spec(" Parallel:0 ") == ("parallel", 0)
 
     def test_malformed_specs_raise_clear_errors(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -146,48 +102,36 @@ class TestParseExecutorSpec:
         with pytest.raises(ValueError, match="worker count"):
             parse_executor_spec("parallel:abc")
         with pytest.raises(ValueError, match="worker count"):
-            parse_executor_spec("threads:-3")
+            parse_executor_spec("parallel:-3")
         with pytest.raises(ValueError, match="no worker count"):
             parse_executor_spec("serial:2")
 
 
-class TestFitPool:
-    def test_serial_config_has_no_fit_pool(self, monkeypatch):
+class TestRemovedBackends:
+    """``threads`` and ``remote:`` are gone; naming them fails cleanly."""
+
+    REMOVED = ("threads", "threads:2", "remote:127.0.0.1:7070")
+
+    @pytest.mark.parametrize("spec", REMOVED)
+    def test_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="unknown executor"):
+            parse_executor_spec(spec)
+        with pytest.raises(ValueError, match="unknown executor"):
+            get_executor(spec)
+
+    def test_config_field_rejected_at_construction(self, monkeypatch):
         monkeypatch.delenv(ENV_EXECUTOR, raising=False)
         from repro.core import EstimaConfig
 
-        assert fit_pool_for_config(EstimaConfig()) is None
+        with pytest.raises(ValueError, match="invalid executor"):
+            EstimaConfig(executor="threads:2")
 
-    def test_threads_config_gets_shared_pool(self, monkeypatch):
-        monkeypatch.delenv(ENV_EXECUTOR, raising=False)
+    def test_env_rejected_at_construction(self, monkeypatch):
         from repro.core import EstimaConfig
 
-        config = EstimaConfig(executor="threads:2")
-        pool = fit_pool_for_config(config)
-        assert isinstance(pool, ThreadExecutor)
-        assert fit_pool_for_config(config) is pool  # one shared pool
-
-    def test_parallel_config_has_no_fit_pool(self, monkeypatch):
-        monkeypatch.delenv(ENV_EXECUTOR, raising=False)
-        from repro.core import EstimaConfig
-
-        assert fit_pool_for_config(EstimaConfig(executor="parallel")) is None
-
-    def test_env_threads_selects_pool_for_default_config(self, monkeypatch):
-        monkeypatch.setenv(ENV_EXECUTOR, "threads:2")
-        from repro.core import EstimaConfig
-
-        assert isinstance(fit_pool_for_config(EstimaConfig()), ThreadExecutor)
-
-    def test_active_fit_pool_context_pins_and_restores(self, monkeypatch):
-        monkeypatch.delenv(ENV_EXECUTOR, raising=False)
-        from repro.core import EstimaConfig
-
-        config = EstimaConfig()
-        with ThreadExecutor(max_workers=1) as pinned:
-            with active_fit_pool(pinned):
-                assert fit_pool_for_config(config) is pinned
-            assert fit_pool_for_config(config) is None
+        monkeypatch.setenv(ENV_EXECUTOR, "remote:127.0.0.1:7070")
+        with pytest.raises(ValueError, match="ESTIMA_EXECUTOR"):
+            EstimaConfig()
 
 
 class TestGetExecutor:
@@ -197,17 +141,11 @@ class TestGetExecutor:
 
     def test_named_backends(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("threads"), ThreadExecutor)
         assert isinstance(get_executor("parallel"), ParallelExecutor)
 
     def test_parallel_worker_suffix(self):
         executor = get_executor("parallel:3")
         assert isinstance(executor, ParallelExecutor)
-        assert executor.max_workers == 3
-
-    def test_threads_worker_suffix(self):
-        executor = get_executor("threads:3")
-        assert isinstance(executor, ThreadExecutor)
         assert executor.max_workers == 3
 
     def test_invalid_suffix_rejected(self):
@@ -260,7 +198,7 @@ class TestExecutorForConfig:
             EstimaConfig(executor="parallel:abc")
         with pytest.raises(ValueError):
             EstimaConfig(max_workers=-2)
-        EstimaConfig(executor="threads:4")  # valid spec constructs fine
+        EstimaConfig(executor="parallel:4")  # valid spec constructs fine
 
 
 class TestEnvValidationAtConfigConstruction:
@@ -279,7 +217,7 @@ class TestEnvValidationAtConfigConstruction:
     def test_valid_env_executor_accepted(self, monkeypatch):
         from repro.core import EstimaConfig
 
-        monkeypatch.setenv(ENV_EXECUTOR, "threads:2")
+        monkeypatch.setenv(ENV_EXECUTOR, "parallel:2")
         EstimaConfig()
 
     def test_malformed_env_fit_cache_raises_at_construction(self, monkeypatch):

@@ -28,17 +28,11 @@ class TestProfiler:
             pass
         assert profiler.snapshot()["boom"]["calls"] == 1
 
-    def test_count_records_events_without_time(self):
-        profiler = Profiler()
-        profiler.count("pruned", 5)
-        profiler.count("pruned")
-        snap = profiler.snapshot()
-        assert snap["pruned"] == {"calls": 6, "wall_s": 0.0, "cpu_s": 0.0}
-
     def test_snapshot_is_a_copy_and_sorted(self):
         profiler = Profiler()
-        profiler.count("b")
-        profiler.count("a")
+        for name in ("b", "a"):
+            with profiler.stage(name):
+                pass
         snap = profiler.snapshot()
         assert list(snap) == ["a", "b"]
         snap["a"]["calls"] = 99
@@ -46,7 +40,8 @@ class TestProfiler:
 
     def test_reset_zeroes_everything(self):
         profiler = Profiler()
-        profiler.count("x")
+        with profiler.stage("x"):
+            pass
         profiler.reset()
         assert profiler.snapshot() == {}
 
@@ -55,7 +50,8 @@ class TestProfiler:
 
         def work():
             for _ in range(200):
-                profiler.count("events")
+                with profiler.stage("events"):
+                    pass
 
         threads = [threading.Thread(target=work) for _ in range(4)]
         for t in threads:

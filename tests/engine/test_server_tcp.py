@@ -4,7 +4,7 @@ Three contracts of the serving subsystem are pinned here:
 
 * **determinism** — campaign rows streamed over the serve protocol are
   bit-identical (same JSON payloads, same order) to batch ``estima campaign
-  --json`` output, across serial/threads/parallel executors;
+  --json`` output, across the serial and parallel executors;
 * **concurrency** — many concurrent TCP clients issuing mixed
   predict/campaign ops against a 2-worker pool observe no dropped,
   duplicated or reordered responses per connection, and the pool's merged
@@ -212,7 +212,7 @@ class TestStreamedCampaignDeterminism:
         assert code == 0
         return json.loads(stdout.getvalue())
 
-    @pytest.mark.parametrize("executor", [None, "threads:2", "parallel:2"])
+    @pytest.mark.parametrize("executor", [None, "parallel:2"])
     def test_streamed_rows_bit_identical_to_batch_json(self, executor, batch):
         with _TcpServer(PredictionServer(EstimaConfig())) as tcp:
             responses = _client_roundtrip(
@@ -233,6 +233,18 @@ class TestStreamedCampaignDeterminism:
         assert json.dumps(final["summary"]["aggregates"], sort_keys=True) == json.dumps(
             batch["aggregates"], sort_keys=True
         )
+
+
+    @pytest.mark.parametrize("executor", ["threads:2", "remote:127.0.0.1:7070"])
+    def test_removed_executor_is_a_request_error(self, executor):
+        with _TcpServer(PredictionServer(EstimaConfig())) as tcp:
+            [response] = _client_roundtrip(
+                tcp.address, [json.dumps(_campaign_request("c", executor=executor))]
+            )
+        assert response["id"] == "c"
+        assert response["ok"] is False
+        assert response["error_kind"] == "request"
+        assert "unknown executor" in response["error"]
 
 
 class TestWorkerPool:

@@ -148,20 +148,6 @@ class TestCampaignEquivalence:
         assert parallel.rows == serial_campaign.rows
         assert parallel.engine_stats["executor"] == "parallel"
 
-    def test_threads_rows_identical(self, serial_campaign):
-        """The fit-level thread backend reproduces the serial rows bit for bit."""
-        threaded = _campaign(executor="threads:2").run(CAMPAIGN_WORKLOADS)
-        assert threaded.rows == serial_campaign.rows
-        assert threaded.engine_stats["executor"] == "threads"
-        # The backend really fanned fits out (its counters moved).
-        assert threaded.engine_stats["executor_stats"]["tasks"] > 0
-
-    def test_threads_via_config_rows_identical(self, serial_campaign):
-        threaded = _campaign(config=EstimaConfig(executor="threads", max_workers=2)).run(
-            CAMPAIGN_WORKLOADS
-        )
-        assert threaded.rows == serial_campaign.rows
-
     def test_fit_cached_rows_identical_and_cache_hits(self, serial_campaign):
         cached = _campaign(config=EstimaConfig(use_fit_cache=True)).run(
             CAMPAIGN_WORKLOADS
@@ -190,45 +176,6 @@ class TestCampaignEquivalence:
         # Serial campaigns share one service: 2 kinds x 2 targets x 2 workloads
         # = 8 requests, half of which are dedup hits.
         assert stats["caches"]["prediction"]["hits"] == 4
-
-
-class TestFitStrategyEquivalence:
-    """The vectorized fit grid must reproduce the serial strategy's rows.
-
-    This is the acceptance pin of the vectorized engine
-    (:mod:`repro.core.fastfit`): a campaign over the *full* workload
-    registry set produces bit-identical rows under ``fit_strategy="serial"``
-    and ``fit_strategy="vectorized"``.  A reduced core grid keeps the solve
-    count (and runtime) down without losing any code path — linear and
-    non-linear kernels, realism screening, checkpoint scoring and the
-    allow-negative fallback all run for every workload.
-    """
-
-    # Measurement points below 12 cores plus the two evaluation targets.
-    REDUCED_COUNTS = [1, 2, 4, 8, 12, 24, 48]
-
-    def _strategy_campaign(self, strategy):
-        from repro.engine.cache import clear_caches
-        from repro.workloads import TABLE4_WORKLOADS
-
-        clear_caches()
-        campaign = ErrorCampaign(
-            machine=get_machine("opteron48"),
-            measurement_cores=12,
-            targets=CAMPAIGN_TARGETS,
-            config=EstimaConfig(fit_strategy=strategy),
-            core_counts=self.REDUCED_COUNTS,
-            executor=SerialExecutor(),
-        )
-        return campaign.run(list(TABLE4_WORKLOADS))
-
-    def test_full_registry_rows_bit_identical(self):
-        serial = self._strategy_campaign("serial")
-        vectorized = self._strategy_campaign("vectorized")
-        assert len(serial.rows) >= 19
-        for s_row, v_row in zip(serial.rows, vectorized.rows):
-            assert s_row == v_row, f"{s_row.workload}: {s_row} != {v_row}"
-        assert serial == vectorized
 
 
 class TestExperimentRunMany:

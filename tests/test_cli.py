@@ -174,6 +174,16 @@ class TestCampaignCommand:
         assert code == 2
         assert "unknown workloads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("executor", ["threads", "threads:2", "remote:127.0.0.1:7070"])
+    def test_removed_executor_rejected(self, capsys, executor):
+        code = main(
+            ["campaign", "--machine", "xeon20", "--measure-cores", "10",
+             "--targets", "20", "--workloads", "genome", "--executor", executor]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid --executor" in err and "unknown executor" in err
+
     def test_bad_targets_rejected(self, capsys):
         code = main(
             ["campaign", "--machine", "xeon20", "--measure-cores", "10",
@@ -232,11 +242,6 @@ class TestPredictStats:
         payload = json.loads(capsys.readouterr().out)
         assert "engine" not in payload
 
-    def test_threads_executor_accepted(self, capsys):
-        code = main(self.PREDICT_ARGS + ["--executor", "threads:2", "--stats"])
-        assert code == 0
-        assert "executor=threads:2" in capsys.readouterr().out
-
     def test_invalid_executor_rejected(self, capsys):
         code = main(self.PREDICT_ARGS + ["--executor", "warp"])
         assert code == 2
@@ -256,25 +261,20 @@ class TestProfileCommand:
         "--measure-cores", "10", "--target-cores", "20",
     ]
 
-    def test_text_report_compares_both_strategies(self, capsys):
+    def test_text_report_lists_stages(self, capsys):
         code = main(self.PROFILE_ARGS)
         assert code == 0
         out = capsys.readouterr().out
-        assert "serial:" in out and "vectorized:" in out
+        assert "wall time:" in out
         assert "nonlinear_solve" in out
-        assert "speedup:" in out
-        assert "predicted rows identical: yes" in out
 
     def test_json_report_is_machine_readable(self, capsys):
         code = main(self.PROFILE_ARGS + ["--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rows_identical"] is True
-        assert set(payload["strategies"]) == {"serial", "vectorized"}
-        for leg in payload["strategies"].values():
-            assert leg["wall_s"] > 0.0
-            assert leg["profile"]["nonlinear_solve"]["calls"] > 0
-        assert payload["speedup"] > 0.0
+        assert payload["target_cores"] == 20
+        assert payload["wall_s"] > 0.0
+        assert payload["profile"]["nonlinear_solve"]["calls"] > 0
 
     def test_needs_input_or_workload(self, capsys):
         assert main(["profile", "--target-cores", "20"]) == 2

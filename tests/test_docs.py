@@ -113,7 +113,7 @@ class TestClusterDocSync:
     def test_cluster_components_in_architecture(self, architecture_doc):
         for component in (
             "HashRing",
-            "RemoteExecutor",
+            "BackendPool",
             "Router",
             "estima route",
             "estima cache export",
